@@ -131,7 +131,6 @@ void AppendBenchJson(const std::string& path, const BenchRecord& record) {
   entry += Format("\"patterns\": %zu, ", record.patterns);
   entry += Format("\"faults\": %zu, ", record.faults);
   entry += Format("\"threads\": %d, ", record.threads);
-  entry += "\"backend\": \"" + record.backend + "\", ";
   entry += "\"trim\": \"" + record.trim + "\", ";
   entry += Format("\"trim_blocks_replayed\": %llu, ",
                   static_cast<unsigned long long>(record.trim_blocks_replayed));

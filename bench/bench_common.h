@@ -60,15 +60,13 @@ compact::CompactorOptions BenchCompactorOptions();
 /// One machine-readable fault-sim bench record for BENCH_faultsim.json.
 struct BenchRecord {
   std::string bench;   // emitting benchmark, e.g. "ablation_faultsim"
-  std::string name;    // configuration label, e.g. "SP/collapse+cone"
+  std::string name;    // configuration label, e.g. "SP/trim=dedup"
   std::string module;  // target module name ("" when campaign-level)
   double wall_seconds = 0.0;
   double faults_per_sec = 0.0;  // reported faults / wall second
   std::size_t patterns = 0;
   std::size_t faults = 0;
   int threads = 1;
-  /// Resolved engine backend the row was measured on ("scalar", "avx2", ...).
-  std::string backend = "scalar";
   /// Trim mode the row ran with ("off", "dedup", ...; fault/trim.h — the
   /// engine default when the bench does not toggle it) and the trim
   /// counters accumulated over the measured run(s): repeated pattern

@@ -153,9 +153,6 @@ fault::FaultSimResult Compactor::SimulateFaults(
       .drop_detected = drop_detected,
       .num_threads = options_.num_threads,
       .collapse = options_.collapse_faults,
-      .cone_limit = options_.cone_limit,
-      .ffr_trace = options_.ffr_trace,
-      .backend = options_.backend,
       .collapse_plan = options_.collapse_faults ? &prep_->collapse : nullptr,
       .cancel = ActiveToken(),
       .trim = options_.trim,

@@ -34,7 +34,6 @@
 #include "common/bitops.h"
 #include "common/status.h"
 #include "compact/run_guard.h"
-#include "fault/backend.h"
 #include "fault/collapse.h"
 #include "fault/faultsim.h"
 #include "fault/parallel.h"
@@ -152,29 +151,11 @@ struct CompactorOptions {
   /// (see fault/collapse.h); off = simulate every fault individually.
   bool collapse_faults = true;
 
-  /// Output-cone restriction inside the fault simulator (detection scans
-  /// and propagation pruning; exact either way).
-  bool cone_limit = true;
-
-  /// FFR-clustered critical-path tracing inside the stuck-at fault
-  /// simulator: one stem propagation per fanout-free region per pattern
-  /// block instead of one per fault class (see fault/faultsim.h; exact
-  /// either way, so reports are bit-identical and cached results are
-  /// shared across the toggle).
-  bool ffr_trace = true;
-
-  /// Engine backend for every fault simulation this compactor runs (see
-  /// fault/backend.h): kAuto = runtime CPU dispatch ($GPUSTL_BACKEND
-  /// honoured), or an explicit width. Reports are bit-identical for every
-  /// backend — a pure cost knob like num_threads, excluded from result-store
-  /// keys, so cached results are shared across the toggle.
-  fault::Backend backend = fault::Backend::kAuto;
-
   /// Execution-redundancy trimming inside every fault simulation this
   /// compactor runs (see fault/trim.h): pattern-block dedup, per-fault
   /// early-exit, and cross-run warm-start of good-machine/observability
   /// state. Exact — reports are bit-identical for every combination; pure
-  /// cost knobs, excluded from result-store keys like `backend`.
+  /// cost knobs, excluded from result-store keys like `num_threads`.
   fault::TrimOptions trim;
 
   /// Content-addressed result store consulted before every fault

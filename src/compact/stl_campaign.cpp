@@ -168,8 +168,6 @@ CampaignSummary StlCampaign::Summary() const {
     s.cache_enabled = true;
     s.cache = base_.result_store->stats();
   }
-  s.backend = std::string(
-      fault::BackendName(fault::ResolveBackend(base_.backend)));
   s.trim = fault::TrimModeName(base_.trim);
   return s;
 }

@@ -76,17 +76,10 @@ struct CampaignSummary {
   bool cache_enabled = false;
   store::StoreStats cache;
 
-  /// Resolved engine backend name ("scalar", "avx2", ...) of the
-  /// campaign's fault simulations. Observability only, like the cache
-  /// counters: every backend produces the same bytes, so the campaign
-  /// report excludes it — a report must not differ across machines that
-  /// dispatched to different CPU features.
-  std::string backend;
-
   /// Trim mode of the campaign's fault simulations ("dedup+early-exit+
   /// warm-start", ..., "off"; see fault/trim.h) and the skip counters
   /// summed over the campaign's modules at Summary() time. Observability
-  /// only, excluded from the report exactly like `backend`: trimmed and
+  /// only, excluded from the report like the cache counters: trimmed and
   /// untrimmed campaigns must produce identical bytes.
   std::string trim;
   std::uint64_t trim_blocks_replayed = 0;

@@ -44,9 +44,6 @@ fault::FaultSimOptions FullSimOptions(
       .drop_detected = true,
       .num_threads = base.num_threads,
       .collapse = base.collapse_faults,
-      .cone_limit = base.cone_limit,
-      .ffr_trace = base.ffr_trace,
-      .backend = base.backend,
       .collapse_plan = base.collapse_faults ? &prep.collapse : nullptr,
       .trim = base.trim,
   };

@@ -81,8 +81,7 @@ struct FaultCollapse {
 FaultCollapse BuildFaultCollapse(const netlist::Netlist& nl,
                                  const std::vector<Fault>& faults);
 
-/// The trivial partition: every fault its own class (the collapse=off
-/// engine path).
+/// The trivial partition: every fault its own class.
 FaultCollapse IdentityCollapse(std::size_t num_faults);
 
 /// Fault classes bucketed by the fanout-free region that owns every

@@ -1,13 +1,11 @@
-// Internal engine-backend interface of the PPSFP fault simulators.
+// Internal interface between the fault-sim entry points and the engine.
 //
-// RunFaultSim / RunTransitionFaultSim own everything backend-independent:
-// argument validation, collapse-plan and SimPlan construction, FFR class
-// grouping, the shared GoodBlockCache and the final cancellation check.
-// The per-backend entry points below receive that prepared state and run
-// the (possibly sharded) pattern-block loop at their own word width. Every
-// backend must produce a FaultSimResult bit-identical to the scalar oracle
-// — the contract tests/test_backend.cpp enforces (see fault/backend.h for
-// the accounting rules that make cross-width identity non-trivial).
+// RunFaultSim / RunTransitionFaultSim own argument validation, collapse-plan
+// and SimPlan construction, FFR class grouping, the shared GoodBlockCache
+// and the trim plan. The engine entry points below receive that prepared
+// state and run the (possibly sharded) pattern-block loop of
+// fault/engine_wide.h. Their result must equal the reference simulator's
+// bit for bit (tests/reference_sim.h).
 //
 // Internal header — include from src/fault/*.cpp only.
 #pragma once
@@ -29,7 +27,7 @@ namespace gpustl::fault::internal {
 /// What one run actually simulates: the equivalence classes of the fault
 /// list with skipped faults removed (a fully skipped class disappears).
 /// Without collapsing this degenerates to one singleton class per
-/// non-skipped fault, which is exactly the legacy engine's `live` list.
+/// non-skipped fault.
 struct SimPlan {
   std::vector<std::uint32_t> offsets;  // num_classes() + 1
   std::vector<std::uint32_t> members;  // fault indices, grouped by class
@@ -41,7 +39,7 @@ SimPlan BuildSimPlan(const FaultCollapse* collapse, const BitVec* skip,
                      std::size_t num_faults);
 
 /// Per-run trim state (fault/trim.h), built once by the orchestration and
-/// shared read-only by every shard of every backend.
+/// shared read-only by every shard.
 struct TrimPlan {
   bool dedup = false;       // effective dedup_blocks toggle
   bool early_exit = false;  // effective early_exit toggle
@@ -87,14 +85,13 @@ struct TrimContext {
   TrimCounters* counters = nullptr;
 };
 
-/// Prepared state of one stuck-at run, shared by every backend. `groups`
-/// is non-null exactly when the FFR-clustered engine is on.
+/// Prepared state of one stuck-at run.
 struct StuckAtRun {
   const netlist::Netlist& nl;
   const netlist::PatternSet& patterns;
   const std::vector<Fault>& faults;
   const SimPlan& plan;
-  const FfrClassGroups* groups;
+  const FfrClassGroups& groups;
   GoodBlockCache& good_blocks;
   const FaultSimOptions& options;
   TrimContext trim;
@@ -112,20 +109,8 @@ struct TransitionRun {
   TrimContext trim;
 };
 
-/// Wide-backend entry points. Each translation unit instantiates the
-/// templated engine of fault/engine_wide.h at one lane count under its own
-/// codegen flags; which ones exist in a given binary is reported by
-/// fault::BackendCompiled. All of them shard/merge through fault/parallel.h
-/// exactly like the scalar engines.
-FaultSimResult RunStuckAtWide(const StuckAtRun& run);          // 4 lanes
-FaultSimResult RunTransitionWide(const TransitionRun& run);    // portable
-#if defined(GPUSTL_HAVE_AVX2)
-FaultSimResult RunStuckAtAvx2(const StuckAtRun& run);          // 4 lanes
-FaultSimResult RunTransitionAvx2(const TransitionRun& run);    // -mavx2
-#endif
-#if defined(GPUSTL_HAVE_AVX512)
-FaultSimResult RunStuckAtAvx512(const StuckAtRun& run);        // 8 lanes
-FaultSimResult RunTransitionAvx512(const TransitionRun& run);  // -mavx512f
-#endif
+/// The engine entry points (fault/engine_wide.cpp).
+FaultSimResult RunStuckAtWide(const StuckAtRun& run);
+FaultSimResult RunTransitionWide(const TransitionRun& run);
 
 }  // namespace gpustl::fault::internal

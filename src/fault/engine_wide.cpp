@@ -1,7 +1,4 @@
-// The portable wide backend: the 4-lane engine compiled WITHOUT SIMD
-// codegen flags. Semantically identical to the avx2 backend (same header,
-// same lane count); it exists so the wide engine's lane bookkeeping is
-// exercised on every machine — including CI runners and CPUs without AVX2.
+// The engine's one instantiation: Wide<4>, 256 patterns per block.
 #include "fault/engine_wide.h"
 
 namespace gpustl::fault::internal {

@@ -1,31 +1,24 @@
-// The width-parameterized PPSFP engine: the scalar loops of faultsim.cpp /
-// transition.cpp re-expressed over Wide<L> bundles (64*L patterns per
-// propagation block). One templated implementation serves every SIMD
-// backend; each backend translation unit (backend_wide.cpp,
-// backend_avx2.cpp, backend_avx512.cpp) instantiates it under its own
-// codegen flags.
+// The PPSFP fault-simulation engine, over Wide<L> bundles (64*L patterns
+// per propagation block; engine_wide.cpp instantiates it at L = 4). Stuck-at
+// faults run FFR-clustered: per block, one backward critical-path trace
+// and one stem propagation per fanout-free region. Transition faults run
+// one event-driven propagation per fault, because their launch condition
+// is per-fault history.
 //
-// Everything here lives in an ANONYMOUS namespace on purpose: implicit
-// template instantiations have vague linkage, so without it the linker
-// would merge the portable and the AVX-compiled instantiations of the same
-// Wide<4> engine into one — either throwing the SIMD codegen away or, far
-// worse, handing AVX2 code to the portable backend on a CPU without AVX2.
-// Internal linkage pins each instantiation to the translation unit whose
-// flags compiled it.
+// The result must equal the reference simulator's (tests/reference_sim.h)
+// bit for bit. Detection words are per-pattern functions, so the block
+// width cannot change them; the one width-sensitive piece is drop
+// accounting. A class's activations count for every 64-pattern block up to
+// AND INCLUDING the block of its first detection, then it drops. A wide
+// block spans L such sub-blocks, so when a class drops at pattern lane s
+// the engine counts its activations only on lanes 0..s
+// (Wide::LaneMaskThrough) — which is why every loop below defers activation
+// counting until the block's drop decisions are known. The transition
+// engine's launch-history carry is the other width seam:
+// Wide::ShiftLeftOneCarry chains it through lane boundaries exactly as it
+// chains across blocks.
 //
-// Bit-identity to the scalar oracle is THE invariant. Detection words are
-// per-pattern functions, so widening blocks cannot change them; the one
-// genuinely width-sensitive piece is drop accounting. The oracle counts a
-// class's activations for every 64-pattern block up to AND INCLUDING the
-// block of its first detection, then drops it. A wide block spans L such
-// sub-blocks, so when a class drops at pattern lane s the engine must count
-// its activations only on lanes 0..s (Wide::LaneMaskThrough) — which is why
-// every loop below defers activation counting until the block's drop
-// decisions are known. The transition engine's launch-history carry is the
-// other cross-width seam: Wide::ShiftLeftOneCarry chains the carry through
-// lane boundaries exactly like the scalar engine chains it across blocks.
-//
-// Internal header — include from the backend_*.cpp translation units only.
+// Internal header — include from engine_wide.cpp only.
 #pragma once
 
 #include <array>
@@ -57,7 +50,7 @@ class WideGoodCache {
     std::vector<Wide<L>> values;  // good bundle per net
   };
 
-  /// `trim` (nullable): with block dedup on, every scalar sub-block reads
+  /// `trim` (nullable): with block dedup on, every 64-pattern sub-block reads
   /// its dedup source's values instead — bit-identical on every net that
   /// can influence this run's report (the fingerprint guarantee), so
   /// repeated sub-blocks are never re-simulated even when the surrounding
@@ -108,8 +101,8 @@ class WideGoodCache {
   std::deque<Block> blocks_;
 };
 
-/// Wide-block dedup map derived from the scalar TrimPlan: wide block J
-/// repeats J' when every scalar sub-block of J dedups to the same source
+/// Wide-block dedup map derived from the 64-pattern TrimPlan: wide block J
+/// repeats J' when every 64-pattern sub-block of J dedups to the same source
 /// as the corresponding sub-block of J' (UINT32_MAX marks sub-blocks past
 /// the pattern set, so partial tails only match partial tails). Equal
 /// tuples mean every lane reads literally the same good values — the
@@ -126,7 +119,7 @@ WideTrim<L> BuildWideTrim(const TrimPlan* tp, std::size_t num_patterns) {
   WideTrim<L> wt;
   if (tp == nullptr || !tp->dedup) return wt;
   wt.dedup = true;
-  const std::size_t scalar_nb = (num_patterns + 63) / 64;
+  const std::size_t num_sub_blocks = (num_patterns + 63) / 64;
   const std::size_t wide_nb = (num_patterns + 64 * L - 1) / (64 * L);
   wt.repeat_of.resize(wide_nb);
   wt.has_repeat.assign(wide_nb, 0);
@@ -136,7 +129,7 @@ WideTrim<L> BuildWideTrim(const TrimPlan* tp, std::size_t num_patterns) {
     for (int k = 0; k < L; ++k) {
       const std::size_t sub = j * L + static_cast<std::size_t>(k);
       key[static_cast<std::size_t>(k)] =
-          sub < scalar_nb ? tp->repeat_of[sub] : UINT32_MAX;
+          sub < num_sub_blocks ? tp->repeat_of[sub] : UINT32_MAX;
     }
     const auto [it, inserted] =
         first_seen.emplace(key, static_cast<std::uint32_t>(j));
@@ -146,8 +139,8 @@ WideTrim<L> BuildWideTrim(const TrimPlan* tp, std::size_t num_patterns) {
   return wt;
 }
 
-/// Per-shard replay storage for one deduped wide source block (the Wide<L>
-/// analogue of the scalar engines' ReplayEntry). Zero-filled on creation.
+/// Per-shard replay storage for one deduped wide source block (its
+/// activation and detection bundles). Zero-filled on creation.
 template <int L>
 struct WideReplayEntry {
   std::vector<Wide<L>> acts;
@@ -159,7 +152,7 @@ struct WideReplayEntry {
 };
 
 /// Class-list early-exit at wide granularity: a class whose last
-/// activating scalar block precedes this wide block's first sub-block is
+/// activating 64-pattern block precedes this wide block's first sub-block is
 /// settled for the rest of the run.
 inline void EarlyExitFilterWide(const TrimPlan* tp, const SimPlan& plan,
                                 std::size_t first_sub, TrimCounters* counters,
@@ -181,61 +174,83 @@ inline void EarlyExitFilterWide(const TrimPlan* tp, const SimPlan& plan,
   }
 }
 
-/// fault/scratch.h's PropagationScratch over Wide<L> values: copy-on-write
-/// faulty bundles with epoch stamps and the level-bucket event queue. Same
-/// algorithm, wider words.
+/// Single-fault event-driven propagation over Wide<L> values: copy-on-write
+/// faulty bundles with epoch stamps (no per-fault clearing) and a
+/// level-bucket event queue, so gates are evaluated in level order, each at
+/// most once. Events that leave the output cone are not enqueued: every
+/// frontier net is reachable from the seed, so "reaches some output" is
+/// "reaches an output of the seed's cone".
 template <int L>
-struct WidePropagationScratch {
-  explicit WidePropagationScratch(const netlist::Netlist& nl)
-      : levels(nl.levels().data()),
-        fval(nl.gate_count(), Wide<L>::Zeros()),
-        touched_epoch(nl.gate_count(), 0),
-        queued_epoch(nl.gate_count(), 0),
-        buckets(static_cast<std::size_t>(nl.max_level()) + 1) {}
+class WidePropagator {
+ public:
+  using W = Wide<L>;
 
-  const std::uint32_t* levels;
-  std::vector<Wide<L>> fval;
-  std::vector<std::uint32_t> touched_epoch;
-  std::vector<std::uint32_t> queued_epoch;
-  std::uint32_t epoch = 0;
-  std::vector<std::vector<netlist::NetId>> buckets;
-  std::uint32_t lo = 0;
-  std::uint32_t hi = 0;
+  explicit WidePropagator(const netlist::Netlist& nl)
+      : nl_(nl),
+        fval_(nl.gate_count(), W::Zeros()),
+        touched_epoch_(nl.gate_count(), 0),
+        queued_epoch_(nl.gate_count(), 0),
+        buckets_(static_cast<std::size_t>(nl.max_level()) + 1) {}
 
-  void NewFault() {
-    ++epoch;
-    lo = UINT32_MAX;
-    hi = 0;
-  }
-
-  Wide<L> FaultyValue(const std::vector<Wide<L>>& good,
-                      netlist::NetId net) const {
-    return touched_epoch[net] == epoch ? fval[net] : good[net];
-  }
-
-  void SetFaulty(netlist::NetId net, const Wide<L>& value) {
-    fval[net] = value;
-    touched_epoch[net] = epoch;
-  }
-
-  void Enqueue(netlist::NetId net) {
-    if (queued_epoch[net] == epoch) return;
-    queued_epoch[net] = epoch;
-    const std::uint32_t lvl = levels[net];
-    buckets[lvl].push_back(net);
-    if (lvl < lo) lo = lvl;
-    if (lvl > hi) hi = lvl;
-  }
-
-  template <typename Fn>
-  void Drain(Fn&& evaluate) {
-    if (lo == UINT32_MAX) return;
-    for (std::uint32_t lvl = lo; lvl <= hi; ++lvl) {
-      std::vector<netlist::NetId>& bucket = buckets[lvl];
-      for (std::size_t i = 0; i < bucket.size(); ++i) evaluate(bucket[i]);
+  /// Sets net `seed` to `value` against the good machine `good`, propagates
+  /// the change and returns the output difference bundle (faulty ^ good,
+  /// OR-ed over the outputs of `seed`'s cone).
+  W OutputDiff(const std::vector<W>& good, netlist::NetId seed,
+               const W& value) {
+    ++epoch_;
+    lo_ = UINT32_MAX;
+    hi_ = 0;
+    SetFaulty(seed, value);
+    for (std::uint32_t lvl = lo_; lo_ != UINT32_MAX && lvl <= hi_; ++lvl) {
+      std::vector<netlist::NetId>& bucket = buckets_[lvl];
+      for (std::size_t i = 0; i < bucket.size(); ++i) {
+        const netlist::Gate& g = nl_.gate(bucket[i]);
+        W in[netlist::kMaxFanin];
+        for (int k = 0; k < g.fanin_count(); ++k) {
+          const netlist::NetId src = g.fanin[k];
+          in[k] = touched_epoch_[src] == epoch_ ? fval_[src] : good[src];
+        }
+        const W out = EvalCellWide(g.type, in);
+        if (out != good[bucket[i]]) SetFaulty(bucket[i], out);
+      }
       bucket.clear();
     }
+
+    W diff = W::Zeros();
+    const std::uint64_t* cone = nl_.OutputCone(seed);
+    for (std::size_t cw = 0; cw < nl_.cone_words(); ++cw) {
+      for (std::uint64_t bits = cone[cw]; bits != 0; bits &= bits - 1) {
+        const std::size_t k = cw * 64 + static_cast<std::size_t>(
+                                            LowestSetBit(bits));
+        const netlist::NetId o = nl_.outputs()[k];
+        if (touched_epoch_[o] == epoch_) diff |= fval_[o] ^ good[o];
+      }
+    }
+    return diff;
   }
+
+ private:
+  void SetFaulty(netlist::NetId net, const W& value) {
+    fval_[net] = value;
+    touched_epoch_[net] = epoch_;
+    for (const netlist::NetId fo : nl_.fanout(net)) {
+      if (!nl_.ReachesOutput(fo) || queued_epoch_[fo] == epoch_) continue;
+      queued_epoch_[fo] = epoch_;
+      const std::uint32_t lvl = nl_.levels()[fo];
+      buckets_[lvl].push_back(fo);
+      if (lvl < lo_) lo_ = lvl;
+      if (lvl > hi_) hi_ = lvl;
+    }
+  }
+
+  const netlist::Netlist& nl_;
+  std::vector<W> fval_;
+  std::vector<std::uint32_t> touched_epoch_;
+  std::vector<std::uint32_t> queued_epoch_;
+  std::uint32_t epoch_ = 0;
+  std::vector<std::vector<netlist::NetId>> buckets_;
+  std::uint32_t lo_ = 0;
+  std::uint32_t hi_ = 0;
 };
 
 /// Carry-save per-pattern counter: accumulates {0,1}-valued bundles (and
@@ -243,10 +258,10 @@ struct WidePropagationScratch {
 /// per-pattern histograms cost O(log n) bundle ops per contribution instead
 /// of one counter increment per SET BIT. The per-bit expansion happens once
 /// per plane per block — per-bit accounting is the one width-independent
-/// cost in the engine (both the oracle and a wide backend walk the same set
-/// bits), so without this the histograms cap the SIMD speedup well below
-/// the propagation win (Amdahl). The sums are exactly the oracle's sums;
-/// only the association order changes, and integer addition is associative.
+/// cost in the engine (a 64-bit and a 256-bit word walk the same set bits),
+/// so without this the histograms cap the SIMD speedup well below the
+/// propagation win (Amdahl). The sums are exact; only the association
+/// order changes, and integer addition is associative.
 template <int L>
 struct WideCounterPlanes {
   std::vector<Wide<L>> planes;  // planes[j] bit p set => p contributes 2^j
@@ -280,207 +295,33 @@ struct WideCounterPlanes {
   }
 };
 
-/// The classic PPSFP loop of faultsim.cpp::SimulateShard at L lanes.
-/// Control flow and accounting mirror the scalar loop statement for
-/// statement; the only structural change is deferred activation counting
-/// (see the file comment — the drop lane must be known first).
-template <int L>
-void SimulateShardWide(const StuckAtRun& run, const WideTrim<L>& wtrim,
-                       std::vector<std::uint32_t> live,
-                       WideGoodCache<L>& wide_blocks, FaultSimResult& result) {
-  using W = Wide<L>;
-  using netlist::Gate;
-  using netlist::NetId;
-
-  const netlist::Netlist& nl = run.nl;
-  const SimPlan& plan = run.plan;
-  const std::vector<Fault>& faults = run.faults;
-  const TrimPlan* tp = run.trim.plan;
-  TrimCounters* counters = run.trim.counters;
-
-  WidePropagationScratch<L> scratch(nl);
-  const auto& outputs = nl.outputs();
-  const bool cone_on = run.options.cone_limit;
-  const std::size_t cone_words = nl.cone_words();
-  std::vector<W> member_act;  // reused per class
-  WideCounterPlanes<L> act_counts;
-  WideCounterPlanes<L> det_counts;
-  std::unordered_map<std::uint32_t, WideReplayEntry<L>> replay;
-
-  for (std::size_t base = 0; base < run.patterns.size(); base += 64 * L) {
-    if (live.empty()) break;
-    if (run.options.cancel != nullptr && run.options.cancel->Expired()) return;
-    const std::size_t wbi = base / (64 * L);
-    EarlyExitFilterWide(tp, plan, wbi * L, counters, live);
-    if (live.empty()) break;
-
-    const WideReplayEntry<L>* load = nullptr;
-    WideReplayEntry<L>* store = nullptr;
-    std::size_t src = wbi;
-    if (wtrim.dedup) {
-      src = wtrim.repeat_of[wbi];
-      if (src != wbi) {
-        load = &replay.at(static_cast<std::uint32_t>(src));
-        if (counters != nullptr) {
-          counters->blocks_replayed.fetch_add(1, std::memory_order_relaxed);
-        }
-      } else if (wtrim.has_repeat[wbi] != 0) {
-        WideReplayEntry<L>& e = replay[static_cast<std::uint32_t>(src)];
-        e.acts.assign(plan.members.size(), W::Zeros());
-        e.diffs.assign(plan.num_classes(), W::Zeros());
-        store = &e;
-      }
-    }
-
-    const typename WideGoodCache<L>::Block& block = wide_blocks.Get(src);
-    if (block.count == 0) break;
-    const W valid = W::ValidMask(block.count);
-    const std::vector<W>& good = block.values;
-
-    std::size_t w = 0;  // compaction write index over `live`
-    for (std::size_t r = 0; r < live.size(); ++r) {
-      const std::uint32_t ci = live[r];
-      const std::uint32_t mbegin = plan.offsets[ci];
-      const std::uint32_t mend = plan.offsets[ci + 1];
-
-      member_act.clear();
-      W leader_act = W::Zeros();
-      if (load != nullptr) {
-        for (std::uint32_t mi = mbegin; mi < mend; ++mi) {
-          member_act.push_back(load->acts[mi]);
-        }
-      } else {
-        for (std::uint32_t mi = mbegin; mi < mend; ++mi) {
-          const Fault& f = faults[plan.members[mi]];
-          const NetId site_net = f.pin == Fault::kOutputPin
-                                     ? f.gate
-                                     : nl.gate(f.gate).fanin[f.pin];
-          const W stuck = f.sa1 ? W::Ones() : W::Zeros();
-          const W act = (good[site_net] ^ stuck) & valid;
-          if (store != nullptr) store->acts[mi] = act;
-          member_act.push_back(act);
-          if (mi == mbegin) leader_act = act;
-        }
-      }
-      // Oracle-granular activation accounting: every lane through
-      // `hi_lane` (L-1 = the whole block — the not-dropped case).
-      const auto count_acts = [&](int hi_lane) {
-        const W mask =
-            hi_lane >= L - 1 ? W::Ones() : W::LaneMaskThrough(hi_lane);
-        for (const W& act : member_act) act_counts.Add(act & mask);
-      };
-
-      W diff = W::Zeros();
-      if (load != nullptr) {
-        // Replay: the class diff captured at the source block is exact
-        // here; the accounting tail below is shared with the compute path.
-        diff = load->diffs[ci];
-      } else {
-        if (leader_act.IsZero()) {
-          count_acts(L - 1);
-          live[w++] = ci;
-          continue;
-        }
-
-        const Fault& f = faults[plan.members[mbegin]];
-        const Gate& g = nl.gate(f.gate);
-        const W stuck = f.sa1 ? W::Ones() : W::Zeros();
-        scratch.NewFault();
-        if (f.pin == Fault::kOutputPin) {
-          scratch.SetFaulty(f.gate, stuck);
-          for (NetId fo : nl.fanout(f.gate)) {
-            if (!cone_on || nl.ReachesOutput(fo)) scratch.Enqueue(fo);
-          }
-        } else {
-          W in[netlist::kMaxFanin];
-          for (int i = 0; i < g.fanin_count(); ++i) {
-            in[i] = i == f.pin ? stuck : good[g.fanin[i]];
-          }
-          const W out = EvalCellWide(g.type, in);
-          if (out != good[f.gate]) {
-            scratch.SetFaulty(f.gate, out);
-            for (NetId fo : nl.fanout(f.gate)) {
-              if (!cone_on || nl.ReachesOutput(fo)) scratch.Enqueue(fo);
-            }
-          }
-        }
-
-        scratch.Drain([&](NetId id) {
-          const Gate& gg = nl.gate(id);
-          W in[netlist::kMaxFanin];
-          for (int i = 0; i < gg.fanin_count(); ++i) {
-            in[i] = scratch.FaultyValue(good, gg.fanin[i]);
-          }
-          const W out = EvalCellWide(gg.type, in);
-          if (out != good[id]) {
-            scratch.SetFaulty(id, out);
-            for (NetId fo : nl.fanout(id)) {
-              if (!cone_on || nl.ReachesOutput(fo)) scratch.Enqueue(fo);
-            }
-          }
-        });
-
-        if (cone_on) {
-          const std::uint64_t* cone = nl.OutputCone(f.gate);
-          for (std::size_t cw = 0; cw < cone_words; ++cw) {
-            for (std::uint64_t bits = cone[cw]; bits != 0; bits &= bits - 1) {
-              const NetId o =
-                  outputs[cw * 64 + static_cast<std::size_t>(LowestSetBit(bits))];
-              if (scratch.touched_epoch[o] == scratch.epoch) {
-                diff |= (scratch.fval[o] ^ good[o]);
-              }
-            }
-          }
-        } else {
-          for (NetId o : outputs) {
-            if (scratch.touched_epoch[o] == scratch.epoch) {
-              diff |= (scratch.fval[o] ^ good[o]);
-            }
-          }
-        }
-        diff &= valid;
-        if (store != nullptr) store->diffs[ci] = diff;
-      }
-
-      if (diff.IsZero()) {
-        count_acts(L - 1);
-        live[w++] = ci;
-        continue;
-      }
-
-      const int first_bit = diff.FirstSetBit();
-      const std::size_t first_pattern = base + static_cast<std::size_t>(
-                                                   first_bit);
-      const std::uint32_t num_members = mend - mbegin;
-      for (std::uint32_t mi = mbegin; mi < mend; ++mi) {
-        const std::uint32_t fi = plan.members[mi];
-        if (result.first_detect[fi] == FaultSimResult::kNotDetected) {
-          result.first_detect[fi] = static_cast<std::uint32_t>(first_pattern);
-          result.detected_mask.Set(fi, true);
-          ++result.num_detected;
-        }
-      }
-
-      if (run.options.drop_detected) {
-        result.detects_per_pattern[first_pattern] += num_members;
-        count_acts(first_bit / 64);  // dropped: nothing past its sub-block
-      } else {
-        det_counts.AddWeighted(diff, num_members);
-        count_acts(L - 1);
-        live[w++] = ci;
-      }
-    }
-    act_counts.ExpandInto(&result.activates_per_pattern[base]);
-    det_counts.ExpandInto(&result.detects_per_pattern[base]);
-    live.resize(w);
-    if (live.empty() && run.options.drop_detected) break;
-  }
-}
-
-/// The FFR-clustered loop of faultsim.cpp::SimulateFfrShard at L lanes.
-/// Same five steps; activation counting is deferred to the end of each
-/// region's block (`drop_lane` records where each class dropped, if at
-/// all) and class compaction happens after it.
+/// The FFR-clustered stuck-at loop over one shard of FFR-group indices
+/// (ascending; a group = every live class whose sites sit in one
+/// fanout-free region, see GroupClassesByFfr). Per wide block, each region
+/// runs:
+///
+///  1. per-member activation bundles (counted later, see 5b);
+///  2. one backward critical-path trace over the region's good bundles: for
+///     every member net, the patterns on which a value change there
+///     reaches the region's stem. Exact, because an FFR has no
+///     reconvergence — each internal net feeds exactly one pin, so the
+///     chain of lane-wise pin sensitizations to the stem is unique;
+///  3. per-class site-to-stem bundles, from the class leader (one faulty
+///     function per class, so one bundle serves every member);
+///  4. ONE stem propagation (faulty stem = ~good) whose output diff is the
+///     stem's observability — lane-independent cell evaluation makes the
+///     all-lanes flip valid for every subset of lanes, so it is shared by
+///     every class of the region;
+///  5. per-class detection = leader activation & site-to-stem observability
+///     & stem observability: the faulty machine differs from the good one
+///     beyond the stem exactly on the lanes where the effect reaches the
+///     stem, and there it looks like the good machine with the stem
+///     complemented. Then (5a) drop/detection accounting and (5b) the
+///     deferred activation accounting (`drop_lane` records where each
+///     class dropped, if at all) and class compaction.
+///
+/// Steps 2-5 are skipped when no live class activates, and step 4 when
+/// every activated effect dies inside the region.
 template <int L>
 void SimulateFfrShardWide(const StuckAtRun& run, const WideTrim<L>& wtrim,
                           const std::vector<std::uint32_t>& shard_groups,
@@ -493,16 +334,13 @@ void SimulateFfrShardWide(const StuckAtRun& run, const WideTrim<L>& wtrim,
   const netlist::Netlist& nl = run.nl;
   const SimPlan& plan = run.plan;
   const std::vector<Fault>& faults = run.faults;
-  const FfrClassGroups& groups = *run.groups;
+  const FfrClassGroups& groups = run.groups;
   const TrimPlan* tp = run.trim.plan;
   TrimCounters* counters = run.trim.counters;
-  const std::size_t scalar_nb = (run.patterns.size() + 63) / 64;
+  const std::size_t num_sub_blocks = (run.patterns.size() + 63) / 64;
   std::unordered_map<std::uint32_t, WideReplayEntry<L>> replay;
 
-  WidePropagationScratch<L> prop(nl);
-  const auto& outputs = nl.outputs();
-  const bool cone_on = run.options.cone_limit;
-  const std::size_t cone_words = nl.cone_words();
+  WidePropagator<L> prop(nl);
 
   std::vector<W> obs(nl.gate_count(), W::Zeros());
   std::vector<W> leader_act;
@@ -644,10 +482,10 @@ void SimulateFfrShardWide(const StuckAtRun& run, const WideTrim<L>& wtrim,
 
         if (reaches_stem) {
           // 4. One stem propagation for the whole region — or, warm-started,
-          // the lanes' scalar stem-observability words from a previous run
-          // over the same (netlist, patterns). Wide propagation is
-          // lane-independent, so lane k of the computed bundle IS the scalar
-          // word of sub-block wbi*L+k; the cache speaks scalar indices and a
+          // the lanes' 64-pattern stem-observability words from a previous
+          // run over the same (netlist, patterns). Wide propagation is
+          // lane-independent, so lane k of the computed bundle IS the word of
+          // sub-block wbi*L+k; the cache speaks 64-pattern indices and a
           // partial hit just recomputes (lanes past the pattern set stay
           // zero — their bits are invalid and masked by stem_local anyway).
           StemObsCache* const socache = run.trim.stem_obs;
@@ -657,7 +495,7 @@ void SimulateFfrShardWide(const StuckAtRun& run, const WideTrim<L>& wtrim,
             bool all_hit = true;
             for (int k = 0; k < L && all_hit; ++k) {
               const std::size_t sub = wbi * L + static_cast<std::size_t>(k);
-              if (sub >= scalar_nb) break;
+              if (sub >= num_sub_blocks) break;
               all_hit = socache->Lookup(sub, fw.stem, &cached.lane[k]);
             }
             if (all_hit) {
@@ -669,48 +507,11 @@ void SimulateFfrShardWide(const StuckAtRun& run, const WideTrim<L>& wtrim,
             }
           }
           if (!warm_hit) {
-            prop.NewFault();
-            prop.SetFaulty(fw.stem, ~good[fw.stem]);
-            for (NetId fo : nl.fanout(fw.stem)) {
-              if (!cone_on || nl.ReachesOutput(fo)) prop.Enqueue(fo);
-            }
-            prop.Drain([&](NetId id) {
-              const Gate& gg = nl.gate(id);
-              W in[netlist::kMaxFanin];
-              for (int i = 0; i < gg.fanin_count(); ++i) {
-                in[i] = prop.FaultyValue(good, gg.fanin[i]);
-              }
-              const W out = EvalCellWide(gg.type, in);
-              if (out != good[id]) {
-                prop.SetFaulty(id, out);
-                for (NetId fo : nl.fanout(id)) {
-                  if (!cone_on || nl.ReachesOutput(fo)) prop.Enqueue(fo);
-                }
-              }
-            });
-
-            if (cone_on) {
-              const std::uint64_t* cone = nl.OutputCone(fw.stem);
-              for (std::size_t cw = 0; cw < cone_words; ++cw) {
-                for (std::uint64_t bits = cone[cw]; bits != 0; bits &= bits - 1) {
-                  const NetId o = outputs[cw * 64 + static_cast<std::size_t>(
-                                                        LowestSetBit(bits))];
-                  if (prop.touched_epoch[o] == prop.epoch) {
-                    stem_obs |= (prop.fval[o] ^ good[o]);
-                  }
-                }
-              }
-            } else {
-              for (NetId o : outputs) {
-                if (prop.touched_epoch[o] == prop.epoch) {
-                  stem_obs |= (prop.fval[o] ^ good[o]);
-                }
-              }
-            }
+            stem_obs = prop.OutputDiff(good, fw.stem, ~good[fw.stem]);
             if (socache != nullptr) {
               for (int k = 0; k < L; ++k) {
                 const std::size_t sub = wbi * L + static_cast<std::size_t>(k);
-                if (sub >= scalar_nb) break;
+                if (sub >= num_sub_blocks) break;
                 socache->Store(sub, fw.stem, stem_obs.lane[k]);
               }
             }
@@ -752,7 +553,7 @@ void SimulateFfrShardWide(const StuckAtRun& run, const WideTrim<L>& wtrim,
         }
       }
 
-      // 5b. Deferred activation accounting at oracle granularity, then
+      // 5b. Deferred activation accounting at 64-pattern granularity, then
       // class compaction.
       std::size_t mo = 0;
       for (std::size_t k = 0; k < cls.size(); ++k) {
@@ -785,11 +586,14 @@ void SimulateFfrShardWide(const StuckAtRun& run, const WideTrim<L>& wtrim,
   }
 }
 
-/// The transition loop of transition.cpp::SimulateShard at L lanes. The
-/// launch bundle chains the per-fault history carry through lane
+/// The transition loop over one shard of fault ids (ascending): one
+/// event-driven propagation per activated fault. No collapsing — the
+/// launch condition is per-fault site history, so two transition faults
+/// with identical faulty functions still activate on different patterns.
+/// The launch bundle chains the per-fault history carry through lane
 /// boundaries (ShiftLeftOneCarry), and the history bit advances to the
-/// last VALID pattern of the wide block — exactly the scalar sequence of
-/// per-sub-block carries composed.
+/// last VALID pattern of the wide block. It starts at the capture value,
+/// so pattern 0 (which has no launch vector) never activates.
 template <int L>
 void SimulateTransitionShardWide(const TransitionRun& run,
                                  const WideTrim<L>& wtrim,
@@ -811,10 +615,7 @@ void SimulateTransitionShardWide(const TransitionRun& run,
     prev_site_bit[i] = faults[i].sa1 ? 0 : 1;  // != init value
   }
 
-  WidePropagationScratch<L> scratch(nl);
-  const auto& outputs = nl.outputs();
-  const bool cone_on = run.options.cone_limit;
-  const std::size_t cone_words = nl.cone_words();
+  WidePropagator<L> prop(nl);
   WideCounterPlanes<L> act_counts;
   WideCounterPlanes<L> det_counts;
 
@@ -917,57 +718,17 @@ void SimulateTransitionShardWide(const TransitionRun& run,
       }
 
       if (!replayed) {
-        scratch.NewFault();
+        // The late value is a stuck-at of the initial value on the capture
+        // vectors.
         if (f.pin == Fault::kOutputPin) {
-          scratch.SetFaulty(f.gate, stuck);
-          for (NetId fo : nl.fanout(f.gate)) {
-            if (!cone_on || nl.ReachesOutput(fo)) scratch.Enqueue(fo);
-          }
+          diff = prop.OutputDiff(good, f.gate, stuck);
         } else {
           W in[netlist::kMaxFanin];
           for (int i = 0; i < g.fanin_count(); ++i) {
             in[i] = i == f.pin ? stuck : good[g.fanin[i]];
           }
           const W out = EvalCellWide(g.type, in);
-          if (out != good[f.gate]) {
-            scratch.SetFaulty(f.gate, out);
-            for (NetId fo : nl.fanout(f.gate)) {
-              if (!cone_on || nl.ReachesOutput(fo)) scratch.Enqueue(fo);
-            }
-          }
-        }
-        scratch.Drain([&](NetId id) {
-          const Gate& gg = nl.gate(id);
-          W in[netlist::kMaxFanin];
-          for (int i = 0; i < gg.fanin_count(); ++i) {
-            in[i] = scratch.FaultyValue(good, gg.fanin[i]);
-          }
-          const W out = EvalCellWide(gg.type, in);
-          if (out != good[id]) {
-            scratch.SetFaulty(id, out);
-            for (NetId fo : nl.fanout(id)) {
-              if (!cone_on || nl.ReachesOutput(fo)) scratch.Enqueue(fo);
-            }
-          }
-        });
-
-        if (cone_on) {
-          const std::uint64_t* cone = nl.OutputCone(f.gate);
-          for (std::size_t cw = 0; cw < cone_words; ++cw) {
-            for (std::uint64_t bits = cone[cw]; bits != 0; bits &= bits - 1) {
-              const NetId o =
-                  outputs[cw * 64 + static_cast<std::size_t>(LowestSetBit(bits))];
-              if (scratch.touched_epoch[o] == scratch.epoch) {
-                diff |= scratch.fval[o] ^ good[o];
-              }
-            }
-          }
-        } else {
-          for (NetId o : outputs) {
-            if (scratch.touched_epoch[o] == scratch.epoch) {
-              diff |= scratch.fval[o] ^ good[o];
-            }
-          }
+          if (out != good[f.gate]) diff = prop.OutputDiff(good, f.gate, out);
         }
         diff &= act;  // detection only on properly-launched capture vectors
         if (store != nullptr) store->diffs[fi] = diff;
@@ -1003,84 +764,59 @@ void SimulateTransitionShardWide(const TransitionRun& run,
   }
 }
 
-/// Run orchestration: the same shard/merge scaffolding as the scalar
-/// engines (fault/parallel.h), instantiated at L lanes.
-template <int L>
-FaultSimResult RunStuckAtWideT(const StuckAtRun& run) {
-  FaultSimResult result =
-      InitFaultSimResult(run.faults.size(), run.patterns.size());
-  WideGoodCache<L> wide_blocks(run.good_blocks, run.trim.plan);
-  const WideTrim<L> wtrim = BuildWideTrim<L>(run.trim.plan,
-                                             run.patterns.size());
-
-  if (run.groups != nullptr) {
-    std::vector<std::uint32_t> live(run.groups->num_groups());
-    std::iota(live.begin(), live.end(), 0u);
-    const int threads =
-        ResolveNumThreads(run.options.num_threads, live.size());
-    if (threads <= 1) {
-      SimulateFfrShardWide<L>(run, wtrim, live, wide_blocks, result);
-      AbortIfCancelled(run.options);
-      return result;
-    }
+/// Runs `shard(work, result)` over the work list `live`: on the calling
+/// thread, or stride-sharded over a worker pool with the deterministic
+/// merge of fault/parallel.h. A cancelled run throws after every shard has
+/// joined, so a partial result is never returned.
+template <typename ShardFn>
+FaultSimResult RunSharded(const std::vector<std::uint32_t>& live,
+                          std::size_t num_faults, std::size_t num_patterns,
+                          const FaultSimOptions& options, ShardFn&& shard) {
+  FaultSimResult result = InitFaultSimResult(num_faults, num_patterns);
+  const int threads = ResolveNumThreads(options.num_threads, live.size());
+  if (threads <= 1) {
+    shard(live, result);
+  } else {
     const std::vector<std::vector<std::uint32_t>> shards =
         StrideShards(live, threads);
     std::vector<FaultSimResult> partial(
-        threads, InitFaultSimResult(run.faults.size(), run.patterns.size()));
-    RunOnShards(threads, [&](int t) {
-      SimulateFfrShardWide<L>(run, wtrim, shards[t], wide_blocks, partial[t]);
-    });
-    AbortIfCancelled(run.options);
+        threads, InitFaultSimResult(num_faults, num_patterns));
+    RunOnShards(threads, [&](int t) { shard(shards[t], partial[t]); });
     MergeShardResults(partial, result);
-    return result;
   }
-
-  std::vector<std::uint32_t> live(run.plan.num_classes());
-  std::iota(live.begin(), live.end(), 0u);
-  const int threads = ResolveNumThreads(run.options.num_threads, live.size());
-  if (threads <= 1) {
-    SimulateShardWide<L>(run, wtrim, std::move(live), wide_blocks, result);
-    AbortIfCancelled(run.options);
-    return result;
-  }
-  std::vector<std::vector<std::uint32_t>> shards = StrideShards(live, threads);
-  std::vector<FaultSimResult> partial(
-      threads, InitFaultSimResult(run.faults.size(), run.patterns.size()));
-  RunOnShards(threads, [&](int t) {
-    SimulateShardWide<L>(run, wtrim, std::move(shards[t]), wide_blocks,
-                         partial[t]);
-  });
-  AbortIfCancelled(run.options);
-  MergeShardResults(partial, result);
+  AbortIfCancelled(options);
   return result;
+}
+
+/// Stuck-at: the work unit is a fanout-free region, since its single stem
+/// propagation serves every class inside.
+template <int L>
+FaultSimResult RunStuckAtWideT(const StuckAtRun& run) {
+  WideGoodCache<L> wide_blocks(run.good_blocks, run.trim.plan);
+  const WideTrim<L> wtrim = BuildWideTrim<L>(run.trim.plan,
+                                             run.patterns.size());
+  std::vector<std::uint32_t> live(run.groups.num_groups());
+  std::iota(live.begin(), live.end(), 0u);
+  return RunSharded(live, run.faults.size(), run.patterns.size(), run.options,
+                    [&](const std::vector<std::uint32_t>& groups,
+                        FaultSimResult& result) {
+                      SimulateFfrShardWide<L>(run, wtrim, groups, wide_blocks,
+                                              result);
+                    });
 }
 
 template <int L>
 FaultSimResult RunTransitionWideT(const TransitionRun& run) {
-  FaultSimResult result =
-      InitFaultSimResult(run.faults.size(), run.patterns.size());
   WideGoodCache<L> wide_blocks(run.good_blocks, run.trim.plan);
   const WideTrim<L> wtrim = BuildWideTrim<L>(run.trim.plan,
                                              run.patterns.size());
-
-  const int threads =
-      ResolveNumThreads(run.options.num_threads, run.live.size());
-  if (threads <= 1) {
-    SimulateTransitionShardWide<L>(run, wtrim, run.live, wide_blocks, result);
-    AbortIfCancelled(run.options);
-    return result;
-  }
-  std::vector<std::vector<std::uint32_t>> shards =
-      StrideShards(run.live, threads);
-  std::vector<FaultSimResult> partial(
-      threads, InitFaultSimResult(run.faults.size(), run.patterns.size()));
-  RunOnShards(threads, [&](int t) {
-    SimulateTransitionShardWide<L>(run, wtrim, std::move(shards[t]),
-                                   wide_blocks, partial[t]);
-  });
-  AbortIfCancelled(run.options);
-  MergeShardResults(partial, result);
-  return result;
+  return RunSharded(run.live, run.faults.size(), run.patterns.size(),
+                    run.options,
+                    [&](const std::vector<std::uint32_t>& faults,
+                        FaultSimResult& result) {
+                      SimulateTransitionShardWide<L>(run, wtrim, faults,
+                                                     wide_blocks, result);
+                    });
 }
 
 }  // namespace

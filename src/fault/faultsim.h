@@ -9,8 +9,15 @@
 // dropping both within a run and across runs (cross-PTP dropping via the
 // persistent fault-list mask).
 //
+// There is one engine (fault/engine_wide.h): 256 patterns per propagation
+// block, stuck-at classes clustered by fanout-free region with one
+// critical-path trace and one stem propagation per region, and event
+// propagation restricted to each fault's output cone. Its report must equal
+// the naive serial-fault reference simulator's (tests/reference_sim.h) bit
+// for bit; the fault-sim test suites hold it to that.
+//
 // The simulator is fault-parallel: with num_threads > 1 the work list —
-// fault classes, or whole fanout-free regions under ffr_trace — is sharded
+// whole fanout-free regions (stuck-at) or faults (transition) — is sharded
 // across a worker pool (good-machine blocks are simulated once and shared
 // read-only; propagation scratch stays private) and the shard reports are
 // merged deterministically, producing a report bit-identical to the serial
@@ -22,7 +29,6 @@
 
 #include "common/bitops.h"
 #include "common/status.h"
-#include "fault/backend.h"
 #include "fault/fault.h"
 #include "fault/trim.h"
 #include "netlist/logicsim.h"
@@ -38,43 +44,18 @@ struct FaultSimOptions {
   /// When false every detection of every fault is counted per pattern.
   bool drop_detected = true;
 
-  /// Worker threads for the fault-parallel engine. 1 = the exact serial
-  /// legacy loop on the calling thread; 0 = hardware_concurrency; N > 1 =
+  /// Worker threads for the fault-parallel engine. 1 = the serial loop on
+  /// the calling thread; 0 = hardware_concurrency; N > 1 =
   /// the fault list is sharded over N workers with a deterministic merge.
   /// The report is bit-identical for every value (see fault/parallel.h).
   int num_threads = 1;
 
   /// Propagate one representative per structural equivalence class (see
   /// fault/collapse.h) and expand detections to every member. Activation is
-  /// still computed per member, so the report stays bit-identical to the
-  /// collapse=false engine; only the propagation work shrinks.
+  /// still computed per member, so the report is bit-identical to the
+  /// collapse=false engine; only the propagation work shrinks. Stuck-at
+  /// only: transition faults are never collapsed.
   bool collapse = true;
-
-  /// Restrict detection scans to the fault's output cone and stop
-  /// propagating events through nets that reach no primary output. Exact:
-  /// a fault effect outside the site's cone can never be observed.
-  bool cone_limit = true;
-
-  /// Cluster fault classes by fanout-free region: per 64-pattern block, one
-  /// backward critical-path-tracing pass over the region's good-machine
-  /// words yields every member site's observability at the region's stem,
-  /// and ONE event-driven stem propagation per region replaces one
-  /// propagation per fault class (detections expand as site activation &
-  /// stem-local observability & stem detect). Tracing is exact within an
-  /// FFR — no reconvergence — so the report is bit-identical to the
-  /// ffr_trace=false engine for every thread count; the result store keys
-  /// therefore ignore this toggle. Stuck-at only: the transition engine's
-  /// launch condition is per-fault history and keeps its per-fault loop.
-  bool ffr_trace = true;
-
-  /// Engine backend: how many patterns one propagation word carries and
-  /// how it is evaluated (see fault/backend.h). kAuto = runtime CPU
-  /// dispatch, honouring $GPUSTL_BACKEND. Every backend's report is
-  /// bit-identical — like num_threads, this is a pure cost knob, excluded
-  /// from result-store fingerprints. An explicitly requested backend the
-  /// binary/CPU cannot honour throws SimError (input error), never falls
-  /// back silently.
-  Backend backend = Backend::kAuto;
 
   /// Optional precomputed collapse plan for this exact fault list (e.g.
   /// cached across PTP runs by the campaign driver). Ignored when
@@ -90,9 +71,9 @@ struct FaultSimOptions {
 
   /// Redundancy trimming (fault/trim.h): pattern-block dedup, per-fault
   /// early-exit and cross-run warm-start. Every mechanism is exact — the
-  /// report is bit-identical to an untrimmed run for every backend, thread
-  /// count and model — so, like num_threads and backend, these are pure
-  /// cost knobs excluded from result-store fingerprints.
+  /// report is bit-identical to an untrimmed run for every thread count and
+  /// model — so, like num_threads, these are pure cost knobs excluded from
+  /// result-store fingerprints.
   TrimOptions trim;
 
   /// Cross-run warm-start state (not owned; null = no warm-start even when

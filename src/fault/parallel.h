@@ -1,11 +1,11 @@
 // Fault-parallel execution support for the PPSFP simulators.
 //
 // Both RunFaultSim and RunTransitionFaultSim parallelize the same way: the
-// live work list — fault classes, or whole fanout-free regions when the
-// FFR-clustered engine is on (a stem propagation is shared by every class
-// of a region, so the region is the indivisible unit) — is sharded across
-// a small worker pool, each worker runs the unmodified serial PPSFP loop
-// over its shard with private propagation scratch (good-machine blocks are
+// live work list — whole fanout-free regions for stuck-at (a stem
+// propagation is shared by every class of a region, so the region is the
+// indivisible unit), faults for transition — is sharded across a small
+// worker pool, each worker runs the unmodified serial PPSFP loop over its
+// shard with private propagation scratch (good-machine blocks are
 // shared read-only through GoodBlockCache), and a deterministic merge
 // reconstructs the serial report. The merge is exact — not approximately
 // equal — because the serial loop's accounting is per-fault independent:
@@ -48,9 +48,8 @@ namespace gpustl::fault {
 ///
 /// Population is contention-friendly: the block table is pre-sized (never
 /// reallocates), each block publishes through its own acquire/release flag,
-/// and building serializes only within one of kStripes lock stripes — wide
-/// backends warming the same cache from many shards no longer funnel
-/// through a single mutex. Block content stays deterministic regardless of
+/// and building serializes only within one of kStripes lock stripes — shards
+/// warming the same cache do not funnel through a single mutex. Block content stays deterministic regardless of
 /// arrival order: BitSimulator::LoadBlock is random-access by pattern
 /// index, so block i's values never depend on which blocks built first.
 class GoodBlockCache {
@@ -180,7 +179,7 @@ std::vector<std::vector<std::uint32_t>> StrideShards(
 void RunOnShards(int shards, const std::function<void(int)>& kernel);
 
 /// Throws DeadlineError when `options.cancel` is armed and expired. The
-/// engines call this after their workers join (and after the serial loop):
+/// engine calls this after its workers join (and after the serial loop):
 /// workers return early with partial shards on expiry, and this turns the
 /// partial state into a clean abort instead of a wrong report.
 inline void AbortIfCancelled(const FaultSimOptions& options) {

@@ -53,9 +53,9 @@ ReplayCounters& GlobalReplayCounters();
 /// Derives the result of `RunFaultSim(nl, patterns, faults, &skip,
 /// {drop_detected = true, ...})` from `full`, the result of the same run
 /// with skip = null. Bit-identical to the live engine for every engine
-/// toggle (threads, collapse, cone, FFR, backend, trim) — those are
-/// already bit-identical to each other, and the replay reproduces the
-/// canonical accounting directly. Throws Error on shape mismatch between
+/// toggle (threads, collapse, trim) — those are already bit-identical to
+/// each other, and the replay reproduces the canonical accounting
+/// directly. Throws Error on shape mismatch between
 /// `full`, `faults` and `skip` (a misuse, never a data-dependent state).
 FaultSimResult ReplaySkipFromFull(const netlist::Netlist& nl,
                                   const std::vector<Fault>& faults,

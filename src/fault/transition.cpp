@@ -1,19 +1,13 @@
 #include "fault/transition.h"
 
 #include <optional>
-#include <unordered_map>
-#include <utility>
 
 #include "common/error.h"
 #include "fault/engine.h"
 #include "fault/parallel.h"
-#include "fault/scratch.h"
 
 namespace gpustl::fault {
 
-using netlist::Gate;
-using netlist::kMaxFanin;
-using netlist::NetId;
 using netlist::Netlist;
 using netlist::PatternSet;
 
@@ -22,242 +16,6 @@ std::vector<TransitionFault> TransitionFaultList(const Netlist& nl) {
   // SA1 == STF.
   return CollapsedFaultList(nl);
 }
-
-namespace {
-
-/// The transition-fault loop over one fault shard (see
-/// faultsim.cpp::SimulateShard for the sharding contract). The launch-side
-/// history (`prev_site_bit`) is per fault, so it shards with the fault list;
-/// each worker keeps its own copy indexed by global fault id.
-///
-/// No fault collapsing here: the launch condition is a property of the
-/// fault *site's* value history, so two transition faults with identical
-/// faulty functions still activate on different patterns. The bucket-queue
-/// scratch and output-cone restriction apply unchanged (FaultSimOptions::
-/// collapse is ignored, cone_limit is honoured).
-void SimulateShard(const Netlist& nl, const PatternSet& patterns,
-                   const std::vector<TransitionFault>& faults,
-                   std::vector<std::uint32_t> live,
-                   GoodBlockCache& good_blocks, const FaultSimOptions& options,
-                   const internal::TrimContext& trim, FaultSimResult& result) {
-  // Launch-side history: the site value of the last pattern of the previous
-  // block, per fault. Initialized to the FINAL value so pattern 0 (which
-  // has no launch vector) can never activate.
-  std::vector<std::uint8_t> prev_site_bit(faults.size());
-  for (std::uint32_t i = 0; i < faults.size(); ++i) {
-    prev_site_bit[i] = faults[i].sa1 ? 0 : 1;  // != init value
-  }
-
-  internal::PropagationScratch scratch(nl);
-  const auto& outputs = nl.outputs();
-  const bool cone_on = options.cone_limit;
-  const std::size_t cone_words = nl.cone_words();
-  const internal::TrimPlan* tp = trim.plan;
-
-  // Replay storage for deduped source blocks. A transition word is NOT a
-  // pure function of the block (the launch side carries the previous
-  // block's last site bit in), so each cached fault word records the
-  // carry-in it was captured under; a replay is taken per fault only when
-  // the current carry matches, and falls back to a full recompute — over
-  // the source block's good values, which are bit-identical on every net
-  // that matters — when it doesn't.
-  struct ReplayEntry {
-    std::vector<std::uint64_t> acts;      // per fault id
-    std::vector<std::uint64_t> diffs;     // per fault id
-    std::vector<std::uint8_t> carry_in;   // prev_site_bit when captured
-    std::vector<std::uint8_t> last_bit;   // prev_site_bit after the block
-  };
-  std::unordered_map<std::uint32_t, ReplayEntry> replay;
-
-  for (std::size_t base = 0; base < patterns.size(); base += 64) {
-    if (live.empty()) break;
-    // Cooperative cancellation, same contract as the stuck-at shards.
-    if (options.cancel != nullptr && options.cancel->Expired()) return;
-    const std::size_t bi = base / 64;
-
-    // Early-exit: faults past their last launch-capture block are settled.
-    if (tp != nullptr && tp->early_exit) {
-      std::uint64_t exited = 0;
-      std::size_t wf = 0;
-      for (const std::uint32_t fi : live) {
-        if (tp->last_act[fi] >= static_cast<std::int64_t>(bi)) {
-          live[wf++] = fi;
-        } else {
-          ++exited;
-        }
-      }
-      if (exited != 0) {
-        live.resize(wf);
-        if (trim.counters != nullptr) {
-          trim.counters->faults_early_exited.fetch_add(
-              exited, std::memory_order_relaxed);
-        }
-      }
-      if (live.empty()) break;
-    }
-
-    const ReplayEntry* load = nullptr;
-    ReplayEntry* store = nullptr;
-    std::uint32_t src = static_cast<std::uint32_t>(bi);
-    if (tp != nullptr && tp->dedup) {
-      src = tp->repeat_of[bi];
-      if (src != bi) {
-        load = &replay.at(src);
-        if (trim.counters != nullptr) {
-          trim.counters->blocks_replayed.fetch_add(1,
-                                                   std::memory_order_relaxed);
-        }
-      } else if (tp->has_repeat[bi] != 0) {
-        ReplayEntry& e = replay[src];
-        e.acts.assign(faults.size(), 0);
-        e.diffs.assign(faults.size(), 0);
-        e.carry_in.assign(faults.size(), 0);
-        e.last_bit.assign(faults.size(), 0);
-        store = &e;
-      }
-    }
-
-    const GoodBlockCache::Block& block = good_blocks.Get(src);
-    if (block.count == 0) break;
-    const int count = block.count;
-    const std::uint64_t valid = count >= 64 ? ~0ull : ((1ull << count) - 1);
-    const std::vector<std::uint64_t>& good = block.values;
-
-    std::size_t w = 0;
-    for (std::size_t r = 0; r < live.size(); ++r) {
-      const std::uint32_t fi = live[r];
-      const TransitionFault& f = faults[fi];
-      const Gate& g = nl.gate(f.gate);
-      const std::uint64_t stuck = f.sa1 ? ~0ull : 0ull;  // value during capture
-
-      const NetId site_net =
-          f.pin == Fault::kOutputPin ? f.gate : g.fanin[f.pin];
-      const std::uint64_t site = good[site_net];
-
-      std::uint64_t act;
-      std::uint64_t diff = 0;
-      bool replayed = false;
-      if (load != nullptr && load->carry_in[fi] == prev_site_bit[fi]) {
-        // Replay: same block contents, same carry — the activation and
-        // detection words are exact, and so is the carry-out.
-        act = load->acts[fi];
-        diff = load->diffs[fi];
-        prev_site_bit[fi] = load->last_bit[fi];
-        replayed = true;
-      } else {
-        const std::uint8_t carry_in = prev_site_bit[fi];
-
-        // Launch values: site at pattern j-1 (carry from the previous
-        // block).
-        const std::uint64_t launch =
-            (site << 1) | static_cast<std::uint64_t>(carry_in);
-        prev_site_bit[fi] =
-            static_cast<std::uint8_t>((site >> (count - 1)) & 1);
-
-        // Activation: launch == init (== stuck value) and capture toggles.
-        act = (f.sa1 ? launch : ~launch) & (site ^ stuck) & valid;
-        if (store != nullptr) {
-          store->carry_in[fi] = carry_in;
-          store->last_bit[fi] = prev_site_bit[fi];
-          store->acts[fi] = act;
-        }
-      }
-      for (std::uint64_t bits = act; bits != 0; bits &= bits - 1) {
-        result.activates_per_pattern[base + static_cast<std::size_t>(
-                                                LowestSetBit(bits))]++;
-      }
-      if (act == 0) {
-        live[w++] = fi;
-        continue;
-      }
-
-      if (!replayed) {
-        // Propagate the late value (a stuck-at of the initial value) on the
-        // capture vectors.
-        scratch.NewFault();
-        if (f.pin == Fault::kOutputPin) {
-          scratch.SetFaulty(f.gate, stuck);
-          for (NetId fo : nl.fanout(f.gate)) {
-            if (!cone_on || nl.ReachesOutput(fo)) scratch.Enqueue(fo);
-          }
-        } else {
-          std::uint64_t in[kMaxFanin];
-          for (int i = 0; i < g.fanin_count(); ++i) {
-            in[i] = i == f.pin ? stuck : good[g.fanin[i]];
-          }
-          const std::uint64_t out = netlist::EvalCell(g.type, in);
-          if (out != good[f.gate]) {
-            scratch.SetFaulty(f.gate, out);
-            for (NetId fo : nl.fanout(f.gate)) {
-              if (!cone_on || nl.ReachesOutput(fo)) scratch.Enqueue(fo);
-            }
-          }
-        }
-        scratch.Drain([&](NetId id) {
-          const Gate& gg = nl.gate(id);
-          std::uint64_t in[kMaxFanin];
-          for (int i = 0; i < gg.fanin_count(); ++i) {
-            in[i] = scratch.FaultyValue(good, gg.fanin[i]);
-          }
-          const std::uint64_t out = netlist::EvalCell(gg.type, in);
-          if (out != good[id]) {
-            scratch.SetFaulty(id, out);
-            for (NetId fo : nl.fanout(id)) {
-              if (!cone_on || nl.ReachesOutput(fo)) scratch.Enqueue(fo);
-            }
-          }
-        });
-
-        if (cone_on) {
-          const std::uint64_t* cone = nl.OutputCone(f.gate);
-          for (std::size_t cw = 0; cw < cone_words; ++cw) {
-            for (std::uint64_t bits = cone[cw]; bits != 0; bits &= bits - 1) {
-              const NetId o = outputs[cw * 64 + static_cast<std::size_t>(
-                                                    LowestSetBit(bits))];
-              if (scratch.touched_epoch[o] == scratch.epoch) {
-                diff |= scratch.fval[o] ^ good[o];
-              }
-            }
-          }
-        } else {
-          for (NetId o : outputs) {
-            if (scratch.touched_epoch[o] == scratch.epoch) {
-              diff |= scratch.fval[o] ^ good[o];
-            }
-          }
-        }
-        diff &= act;  // detection only on properly-launched capture vectors
-        if (store != nullptr) store->diffs[fi] = diff;
-      }
-
-      if (diff == 0) {
-        live[w++] = fi;
-        continue;
-      }
-
-      const auto first_pattern =
-          base + static_cast<std::size_t>(LowestSetBit(diff));
-      if (result.first_detect[fi] == FaultSimResult::kNotDetected) {
-        result.first_detect[fi] = static_cast<std::uint32_t>(first_pattern);
-        result.detected_mask.Set(fi, true);
-        ++result.num_detected;
-      }
-      if (options.drop_detected) {
-        result.detects_per_pattern[first_pattern]++;
-      } else {
-        for (std::uint64_t bits = diff; bits != 0; bits &= bits - 1) {
-          result.detects_per_pattern[base + static_cast<std::size_t>(
-                                                LowestSetBit(bits))]++;
-        }
-        live[w++] = fi;
-      }
-    }
-    live.resize(w);
-    if (live.empty() && options.drop_detected) break;
-  }
-}
-
-}  // namespace
 
 FaultSimResult RunTransitionFaultSim(const Netlist& nl,
                                      const PatternSet& patterns,
@@ -275,10 +33,6 @@ FaultSimResult RunTransitionFaultSim(const Netlist& nl,
   if (skip != nullptr) {
     GPUSTL_ASSERT(skip->size() == faults.size(), "skip mask size mismatch");
   }
-
-  const Backend backend = ResolveBackend(options.backend);
-
-  FaultSimResult result = InitFaultSimResult(faults.size(), patterns.size());
 
   std::vector<std::uint32_t> live;
   live.reserve(faults.size());
@@ -302,50 +56,14 @@ FaultSimResult RunTransitionFaultSim(const Netlist& nl,
     trim_plan = internal::BuildTransitionTrimPlan(nl, patterns, faults, live,
                                                   good_blocks, options);
   }
-  // No stem-observability reuse here: the transition engines are per-fault
-  // and never run the FFR stem propagation.
+  // No stem-observability reuse here: the transition engine is per-fault
+  // and never runs the FFR stem propagation.
   const internal::TrimContext trim{
       trim_plan.dedup || trim_plan.early_exit ? &trim_plan : nullptr, nullptr,
       options.trim_counters};
 
-  if (backend != Backend::kScalar) {
-    const internal::TransitionRun run{nl,   patterns,    faults,  live,
-                                      good_blocks, options, trim};
-    switch (backend) {
-      case Backend::kWide:
-        return internal::RunTransitionWide(run);
-#if defined(GPUSTL_HAVE_AVX2)
-      case Backend::kAvx2:
-        return internal::RunTransitionAvx2(run);
-#endif
-#if defined(GPUSTL_HAVE_AVX512)
-      case Backend::kAvx512:
-        return internal::RunTransitionAvx512(run);
-#endif
-      default:
-        throw SimError("backend '" + std::string(BackendName(backend)) +
-                       "' has no transition engine in this binary");
-    }
-  }
-
-  const int threads = ResolveNumThreads(options.num_threads, live.size());
-  if (threads <= 1) {
-    SimulateShard(nl, patterns, faults, std::move(live), good_blocks, options,
-                  trim, result);
-    AbortIfCancelled(options);
-    return result;
-  }
-
-  std::vector<std::vector<std::uint32_t>> shards = StrideShards(live, threads);
-  std::vector<FaultSimResult> partial(
-      threads, InitFaultSimResult(faults.size(), patterns.size()));
-  RunOnShards(threads, [&](int t) {
-    SimulateShard(nl, patterns, faults, std::move(shards[t]), good_blocks,
-                  options, trim, partial[t]);
-  });
-  AbortIfCancelled(options);
-  MergeShardResults(partial, result);
-  return result;
+  return internal::RunTransitionWide(
+      {nl, patterns, faults, live, good_blocks, options, trim});
 }
 
 }  // namespace gpustl::fault

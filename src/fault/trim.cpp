@@ -5,9 +5,8 @@
 //    input bits MASKED to the inputs that structurally reach (a) any live
 //    fault site or (b) any output in a live leader's output cone. Both the
 //    activation word of a fault (a function of its site net's good value)
-//    and its detection word (the classic engine's output diff, confined to
-//    OutputCone(site gate) — which the FFR engine reproduces bit-exactly)
-//    are functions of exactly those inputs, so blocks with equal
+//    and its detection word (its output diff, confined to
+//    OutputCone(site gate)) are functions of exactly those inputs, so blocks with equal
 //    fingerprints have equal activation and detection words for every
 //    fault of the run: replaying the cached words is exact, not heuristic.
 //  * the early-exit prepass: per site net, the last block holding a 0 / a

@@ -3,7 +3,7 @@
 // GPU STL workloads are highly repetitive: identical 64-pattern input
 // blocks recur inside loops and across PTPs, and most faults settle their
 // detection status early. The trim layer removes three kinds of redundant
-// work from both engines (scalar oracle and the wide backends):
+// work from the engine:
 //
 //  1. pattern-block dedup — each 64-pattern block is fingerprinted over the
 //     nets that feed the live fault cone; a repeated block skips good- and
@@ -22,8 +22,8 @@
 //     recomputing them per run.
 //
 // The identity contract: every mechanism is EXACT. Trimmed runs produce
-// FaultSimResults bit-identical to untrimmed runs for every backend,
-// thread count and fault model (tests/test_trim.cpp), and the result-store
+// FaultSimResults bit-identical to untrimmed runs — and to the reference
+// simulator — for every thread count and fault model (tests/test_trim.cpp), and the result-store
 // fingerprints exclude these toggles, so trimmed and untrimmed runs share
 // cache entries. Trimming is a pure cost knob, like num_threads.
 #pragma once
@@ -52,14 +52,13 @@ struct TrimOptions {
   bool any() const { return dedup_blocks || early_exit || warm_start; }
 };
 
-/// Everything off — the PR 6 engine, bit for bit.
+/// Everything off: the untrimmed engine.
 inline TrimOptions NoTrim() { return TrimOptions{false, false, false}; }
 
 /// The toggles a run actually honours: `requested`, unless $GPUSTL_NO_TRIM
-/// is set truthy ("1", anything but "" / "0"), which forces everything off.
-/// Same pattern as $GPUSTL_BACKEND: wrappers that cannot edit a caller's
-/// options (CI legs, bisection scripts) can still pin the untrimmed
-/// engine. Consulted once per RunFaultSim / RunTransitionFaultSim call.
+/// is set truthy ("1", anything but "" / "0"), which forces everything off,
+/// so wrappers that cannot edit a caller's options (CI legs, bisection
+/// scripts) can still pin the untrimmed engine. Consulted once per RunFaultSim / RunTransitionFaultSim call.
 TrimOptions EffectiveTrim(const TrimOptions& requested);
 
 /// Observability counters proving the trim paths fire (BENCH_faultsim.json

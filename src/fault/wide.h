@@ -1,22 +1,13 @@
-// Width-parameterized pattern-word bundles for the PPSFP engines.
+// Width-parameterized pattern-word bundles for the PPSFP engine.
 //
 // A Wide<L> carries 64*L patterns: lane k, bit b is pattern 64*k + b of the
 // block, so lane order IS pattern order and "lowest set bit" means the
 // earliest pattern. The bundle is an aligned structure-of-lanes with only
 // lane-wise bitwise operators — exactly the operations cell evaluation,
-// activation, observability and detection masks need — so a translation
-// unit compiled with -mavx2 (or -mavx512f) lowers every operator to one
-// vector instruction, while the same header compiled without SIMD flags
-// stays portable scalar code with identical semantics.
+// activation, observability and detection masks need — written as
+// fixed-trip lane loops the compiler vectorizes at -O3.
 //
-// Internal header — include from src/fault/*.cpp / engine_wide.h only.
-//
-// Everything is in an anonymous namespace: each backend translation unit
-// must own a private instantiation of these templates under its own codegen
-// flags. With ordinary (vague) linkage the linker would keep a single copy
-// of Wide<4>'s operators across backend_wide.cpp and backend_avx2.cpp —
-// discarding the SIMD codegen, or worse, handing AVX2 code to the portable
-// backend on a CPU without AVX2.
+// Internal header — include from src/fault/engine_wide.h only.
 #pragma once
 
 #include <cstdint>
@@ -93,9 +84,9 @@ struct alignas(sizeof(std::uint64_t) * L) Wide {
   bool Bit(int p) const { return ((lane[p / 64] >> (p % 64)) & 1) != 0; }
 
   /// Ones in every lane <= `hi_lane`, zeros above. The drop-boundary mask:
-  /// the scalar oracle accounts activation at 64-pattern granularity, so
-  /// when a class drops, its final (partial) block contribution covers the
-  /// whole 64-pattern sub-block that detected it — lane hi_lane inclusive.
+  /// activation is accounted at 64-pattern granularity, so when a class
+  /// drops, its final (partial) block contribution covers the whole
+  /// 64-pattern sub-block that detected it — lane hi_lane inclusive.
   static Wide LaneMaskThrough(int hi_lane) {
     Wide w;
     for (int k = 0; k < L; ++k) w.lane[k] = k <= hi_lane ? ~0ull : 0ull;
@@ -117,7 +108,7 @@ struct alignas(sizeof(std::uint64_t) * L) Wide {
 
   /// Shift every bit one pattern later, feeding `carry_in` into pattern 0;
   /// the carry crosses lane boundaries (lane k bit 0 <- lane k-1 bit 63),
-  /// mirroring the scalar engine's cross-block launch-history carry.
+  /// so the launch history chains across lanes as it does across blocks.
   Wide ShiftLeftOneCarry(bool carry_in) const {
     Wide w;
     std::uint64_t carry = carry_in ? 1 : 0;
@@ -142,7 +133,8 @@ struct alignas(sizeof(std::uint64_t) * L) Wide {
 /// Bundle-wise cell evaluation: the same Boolean network as
 /// netlist::EvalCell, expressed through the Wide operators so each case is
 /// a handful of vector ops. Kept in lockstep with netlist/cell.cpp (the
-/// conformance suite would catch any divergence as a detection mismatch).
+/// reference-oracle suites would catch any divergence as a detection
+/// mismatch).
 template <typename W>
 W EvalCellWide(netlist::CellType type, const W* in) {
   using netlist::CellType;

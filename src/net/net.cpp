@@ -139,6 +139,14 @@ int ListenTcp(const Endpoint& endpoint, std::string* error,
   return fd;
 }
 
+int AcceptTcp(int listen_fd) {
+  const int fd = ::accept(listen_fd, nullptr, nullptr);
+  if (fd < 0) return -1;
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  return fd;
+}
+
 int ConnectTcp(const Endpoint& endpoint, int timeout_ms, std::string* error) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;

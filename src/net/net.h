@@ -54,6 +54,12 @@ int BackoffDelayMs(const RetryPolicy& policy, int attempt, Rng& rng);
 int ListenTcp(const Endpoint& endpoint, std::string* error,
               std::uint16_t* bound_port = nullptr);
 
+/// Accepts one connection on a ListenTcp fd, with TCP_NODELAY set like
+/// the dial side: replies are small frames, and Nagle's algorithm would
+/// hold each one back until the peer's delayed ACK (~40 ms). Returns the
+/// connected fd, or -1 when accept fails.
+int AcceptTcp(int listen_fd);
+
 /// Connects with a bounded wait. Returns the connected fd or -1 with a
 /// diagnostic. The fd is left in blocking mode; Conn flips it.
 int ConnectTcp(const Endpoint& endpoint, int timeout_ms, std::string* error);

@@ -82,7 +82,7 @@ void TcpServer::Serve() {
       break;
     }
     if ((fds[0].revents & POLLIN) == 0) continue;
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = AcceptTcp(listen_fd_);
     if (fd < 0) continue;
     auto conn = std::make_shared<Connection>(fd, options_.limits);
     std::lock_guard<std::mutex> lock(conns_mu_);

@@ -24,10 +24,7 @@ bool ParseSubmitRequest(const Json& request, SubmitRequest* out,
   req.deadline_seconds = request.GetDouble("deadline", -1.0);
   req.stage_deadline_seconds = request.GetDouble("stage_deadline", -1.0);
   req.threads = static_cast<int>(request.GetInt("threads", -1));
-  req.backend = request.GetString("backend");
   req.no_collapse = request.GetBool("no_collapse");
-  req.no_cone = request.GetBool("no_cone");
-  req.no_ffr = request.GetBool("no_ffr");
   req.no_trim = request.GetBool("no_trim");
   req.checkpoint_dir = request.GetString("checkpoint_dir");
   req.manifest = request.GetString("manifest");

@@ -34,10 +34,7 @@ struct SubmitRequest {
   std::string manifest;                  // manifest path, or:
   std::vector<SubmitEntry> entries;      // inline entries
   int threads = -1;                      // fault-sim workers; -1 = default
-  std::string backend;                   // "" = service default
   bool no_collapse = false;
-  bool no_cone = false;
-  bool no_ffr = false;
   bool no_trim = false;
   std::string checkpoint_dir;            // "" = no checkpointing
 };

@@ -12,7 +12,6 @@
 #include "common/error.h"
 #include "compact/report.h"
 #include "distrib/coordinator.h"
-#include "fault/backend.h"
 #include "fault/trim.h"
 #include "isa/assembler.h"
 #include "isa/binary.h"
@@ -83,14 +82,7 @@ JobSpec MakeJobSpec(const SubmitRequest& request) {
   spec.deadline_seconds = request.deadline_seconds;
   spec.stage_deadline_seconds = request.stage_deadline_seconds;
   spec.threads = request.threads;
-  if (!request.backend.empty()) {
-    const auto b = fault::ParseBackend(request.backend);
-    if (!b) throw Error("bad backend " + request.backend);
-    spec.backend = *b;
-  }
   spec.no_collapse = request.no_collapse;
-  spec.no_cone = request.no_cone;
-  spec.no_ffr = request.no_ffr;
   spec.no_trim = request.no_trim;
   spec.checkpoint_dir = request.checkpoint_dir;
   spec.plan = BuildPlan(request);
@@ -204,10 +196,7 @@ void CampaignService::RunJob(Job& job, int worker_index) {
   try {
     compact::CompactorOptions opt = options_.base;
     if (spec.threads >= 0) opt.num_threads = spec.threads;
-    if (spec.backend) opt.backend = *spec.backend;
     if (spec.no_collapse) opt.collapse_faults = false;
-    if (spec.no_cone) opt.cone_limit = false;
-    if (spec.no_ffr) opt.ffr_trace = false;
     if (spec.no_trim) opt.trim = fault::NoTrim();
     opt.stage_deadline_seconds = spec.stage_deadline_seconds >= 0
                                      ? spec.stage_deadline_seconds

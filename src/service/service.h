@@ -72,7 +72,7 @@ struct ServiceOptions {
   std::string distrib_dir;
   /// Claim staleness horizon for the distrib dir.
   double distrib_stale_seconds = 30.0;
-  /// Baseline compactor knobs (threads, backend, toggles) that per-job
+  /// Baseline compactor knobs (threads, toggles) that per-job
   /// overrides start from.
   compact::CompactorOptions base;
 };
@@ -94,10 +94,7 @@ struct JobSpec {
   double stage_deadline_seconds = -1.0;
   std::vector<compact::PlanEntry> plan;
   int threads = -1;
-  std::optional<fault::Backend> backend;
   bool no_collapse = false;
-  bool no_cone = false;
-  bool no_ffr = false;
   bool no_trim = false;
   std::string checkpoint_dir;
 };

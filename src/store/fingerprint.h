@@ -3,8 +3,9 @@
 // A fault-simulation run is a pure function of (module topology, applied
 // pattern sequence, fault list, cross-PTP skip mask, fault model, dropping
 // mode). Everything else in FaultSimOptions — thread count, structural
-// collapsing, cone pruning — is bit-identical by construction (the PR 1/2
-// engines guarantee it), so it is deliberately EXCLUDED from the key:
+// collapsing, trimming — is bit-identical by construction (the engine is
+// held to the reference simulator under all of them), so it is
+// deliberately EXCLUDED from the key:
 // a result computed with 8 threads and collapsing serves a serial
 // no-collapse run, and vice versa.
 //

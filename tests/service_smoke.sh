@@ -5,6 +5,7 @@
 #   service_smoke.sh <gpustld> <gpustl-client> <gpustlc>
 #
 # Covers, in order:
+#   0. a removed engine switch (--no-ffr) is a usage error: exit 2;
 #   1. daemon startup + ping/status round trips;
 #   2. a mixed submit batch: a normal campaign (report byte-identical to
 #      `gpustlc campaign --report` for the same manifest) and a degraded
@@ -57,6 +58,13 @@ cat > "$WORK/manifest.txt" <<'EOF'
 tiny.asm DU compact
 tiny.asm SP carry
 EOF
+
+# --- 0. removed switches fail loudly ----------------------------------------
+"$GPUSTLD" --socket "$SOCK" --no-ffr > "$WORK/noffr.out" 2>&1
+rc=$?
+[ "$rc" -eq 2 ] || fail "gpustld --no-ffr exited $rc (want 2)"
+grep -q "unknown flag --no-ffr" "$WORK/noffr.out" \
+  || fail "gpustld --no-ffr: $(cat "$WORK/noffr.out")"
 
 # --- 1. startup -------------------------------------------------------------
 "$GPUSTLD" --socket "$SOCK" --workers 2 --cache-dir "$WORK/cache" \

@@ -1,15 +1,15 @@
-// Property and differential tests for structural fault collapsing and the
-// cone-aware engine paths: on randomized netlists, the collapsed engine
-// (one propagated representative per equivalence class), the output-cone
-// restricted engine and every combination must reproduce the plain engine
-// bit-for-bit — first_detect, detected_mask and both per-pattern
-// histograms — across drop/no-drop, skip masks, thread counts and both
-// fault-list flavours. Plus structural checks on the class partition, the
-// primary-output stem exclusion the legacy list-level collapser misses,
-// and a known-answer AND-gate class/dominance count.
+// Property and differential tests for structural fault collapsing: on
+// randomized netlists the engine, with collapsing on (one propagated
+// representative per equivalence class) and off, must reproduce the
+// reference simulator (tests/reference_sim.h) bit-for-bit — first_detect,
+// detected_mask and both per-pattern histograms — across drop/no-drop,
+// skip masks, thread counts and both fault-list flavours. Plus structural
+// checks on the class partition, the primary-output stem exclusion the
+// legacy list-level collapser misses, and a known-answer AND-gate
+// class/dominance count.
 //
-// This suite carries the ctest label `tsan` (the collapsed engine shards
-// classes over the same worker pool).
+// This suite carries the ctest labels `tsan` (the engine shards over the
+// worker pool) and `oracle`.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +22,8 @@
 #include "fault/transition.h"
 #include "netlist/netlist.h"
 #include "netlist/patterns.h"
+#include "tests/fault_test_util.h"
+#include "tests/reference_sim.h"
 
 namespace gpustl::fault {
 namespace {
@@ -30,65 +32,14 @@ using netlist::CellType;
 using netlist::NetId;
 using netlist::Netlist;
 using netlist::PatternSet;
+using testutil::ExpectIdentical;
+using testutil::RandomNetlist;
+using testutil::RandomPatterns;
+using testutil::RandomSkip;
 
-Netlist RandomNetlist(Rng& rng, int num_inputs, int num_gates) {
-  static constexpr CellType kTypes[] = {
-      CellType::kBuf,   CellType::kInv,   CellType::kAnd2,  CellType::kAnd3,
-      CellType::kAnd4,  CellType::kOr2,   CellType::kOr3,   CellType::kOr4,
-      CellType::kNand2, CellType::kNand3, CellType::kNand4, CellType::kNor2,
-      CellType::kNor3,  CellType::kNor4,  CellType::kXor2,  CellType::kXnor2,
-      CellType::kMux2,  CellType::kAoi21, CellType::kAoi22, CellType::kOai21,
-      CellType::kOai22, CellType::kConst0, CellType::kConst1};
+// --- Engine differentials: collapsing is exact ---
 
-  Netlist nl("rand");
-  std::vector<NetId> nets;
-  for (int i = 0; i < num_inputs; ++i) {
-    nets.push_back(nl.AddInput("i" + std::to_string(i)));
-  }
-  for (int g = 0; g < num_gates; ++g) {
-    const CellType type = kTypes[rng.below(std::size(kTypes))];
-    std::vector<NetId> fanin(netlist::CellFaninCount(type));
-    for (NetId& f : fanin) f = nets[rng.below(nets.size())];
-    nets.push_back(nl.AddGate(type, fanin));
-  }
-  int out = 0;
-  nl.MarkOutput(nets[nets.size() - 1], "o" + std::to_string(out++));
-  nl.MarkOutput(nets[nets.size() - 2], "o" + std::to_string(out++));
-  for (int k = 0; k < 3; ++k) {
-    nl.MarkOutput(nets[num_inputs + rng.below(num_gates)],
-                  "o" + std::to_string(out++));
-  }
-  nl.Freeze();
-  return nl;
-}
-
-PatternSet RandomPatterns(Rng& rng, int width, int count) {
-  PatternSet pats(width);
-  const std::uint64_t mask = width >= 64 ? ~0ull : ((1ull << width) - 1);
-  for (int p = 0; p < count; ++p) {
-    pats.Add64(static_cast<std::uint64_t>(p), rng() & mask);
-  }
-  return pats;
-}
-
-BitVec RandomSkip(Rng& rng, std::size_t n, double p) {
-  BitVec skip(n, false);
-  for (std::size_t i = 0; i < n; ++i) skip.Set(i, rng.chance(p));
-  return skip;
-}
-
-void ExpectIdentical(const FaultSimResult& want, const FaultSimResult& got,
-                     const char* what) {
-  EXPECT_EQ(want.first_detect, got.first_detect) << what;
-  EXPECT_EQ(want.detects_per_pattern, got.detects_per_pattern) << what;
-  EXPECT_EQ(want.activates_per_pattern, got.activates_per_pattern) << what;
-  EXPECT_EQ(want.num_detected, got.num_detected) << what;
-  EXPECT_TRUE(want.detected_mask == got.detected_mask) << what;
-}
-
-// --- Engine differentials: collapse/cone are exact ---
-
-TEST(FaultCollapse, CollapsedEngineMatchesPlainEngine) {
+TEST(FaultCollapse, CollapsedEngineMatchesReference) {
   Rng rng(0xC0113);
   for (int round = 0; round < 5; ++round) {
     const int inputs = 4 + static_cast<int>(rng.below(12));
@@ -102,23 +53,12 @@ TEST(FaultCollapse, CollapsedEngineMatchesPlainEngine) {
     // list the compactor feeds the engine.
     for (const auto& faults : {EnumerateFaults(nl), CollapsedFaultList(nl)}) {
       for (const bool drop : {true, false}) {
-        const auto plain = RunFaultSim(nl, pats, faults, nullptr,
-                                       {.drop_detected = drop,
-                                        .num_threads = 1,
-                                        .collapse = false,
-                                        .cone_limit = false});
+        const auto ref = ReferenceFaultSim(nl, pats, faults, nullptr, drop);
         for (const bool collapse : {false, true}) {
-          for (const bool cone : {false, true}) {
-            if (!collapse && !cone) continue;
-            const auto optimized = RunFaultSim(nl, pats, faults, nullptr,
-                                               {.drop_detected = drop,
-                                                .num_threads = 1,
-                                                .collapse = collapse,
-                                                .cone_limit = cone});
-            ExpectIdentical(plain, optimized,
-                            collapse ? (cone ? "collapse+cone" : "collapse")
-                                     : "cone");
-          }
+          const auto got = RunFaultSim(
+              nl, pats, faults, nullptr,
+              {.drop_detected = drop, .num_threads = 1, .collapse = collapse});
+          ExpectIdentical(ref, got, collapse ? "collapse" : "plain");
         }
       }
     }
@@ -140,22 +80,14 @@ TEST(FaultCollapse, SkipMasksDropAndThreads) {
     for (const double density : {0.1, 0.5, 1.0}) {
       const BitVec skip = RandomSkip(rng, faults.size(), density);
       for (const bool drop : {true, false}) {
-        const auto plain = RunFaultSim(nl, pats, faults, &skip,
-                                       {.drop_detected = drop,
-                                        .num_threads = 1,
-                                        .collapse = false,
-                                        .cone_limit = false});
-        for (const int threads : {1, 4}) {
-          const auto optimized = RunFaultSim(nl, pats, faults, &skip,
-                                             {.drop_detected = drop,
-                                              .num_threads = threads});
-          ExpectIdentical(plain, optimized, "skip mask");
-          for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-            if (skip.Get(fi)) {
-              EXPECT_EQ(optimized.first_detect[fi],
-                        FaultSimResult::kNotDetected);
-              EXPECT_FALSE(optimized.detected_mask.Get(fi));
-            }
+        const auto ref = ReferenceFaultSim(nl, pats, faults, &skip, drop);
+        for (const bool collapse : {false, true}) {
+          for (const int threads : {1, 2, 5}) {
+            const auto got = RunFaultSim(nl, pats, faults, &skip,
+                                         {.drop_detected = drop,
+                                          .num_threads = threads,
+                                          .collapse = collapse});
+            ExpectIdentical(ref, got, "skip mask");
           }
         }
       }
@@ -163,28 +95,27 @@ TEST(FaultCollapse, SkipMasksDropAndThreads) {
   }
 }
 
-TEST(FaultCollapse, PrecomputedPlanMatchesPerRunPlan) {
+TEST(FaultCollapse, PrecomputedPlanMatchesReference) {
   // The campaign driver caches one FaultCollapse per module and passes it
-  // to every run; the cached path must match the build-per-run path.
+  // to every run; the cached path must match too.
   Rng rng(0xCAC4E);
   const Netlist nl = RandomNetlist(rng, 8, 90);
   const auto faults = CollapsedFaultList(nl);
   const PatternSet pats = RandomPatterns(rng, 8, 100);
   const FaultCollapse plan = BuildFaultCollapse(nl, faults);
 
-  const auto per_run = RunFaultSim(nl, pats, faults);
   const auto cached = RunFaultSim(nl, pats, faults, nullptr,
                                   {.drop_detected = true,
                                    .num_threads = 1,
                                    .collapse = true,
-                                   .cone_limit = true,
                                    .collapse_plan = &plan});
-  ExpectIdentical(per_run, cached, "cached plan");
+  ExpectIdentical(ReferenceFaultSim(nl, pats, faults, nullptr, true), cached,
+                  "cached plan");
 }
 
-TEST(FaultCollapse, TransitionConeMatchesPlain) {
-  // The transition engine takes the cone/bucket-queue paths (collapse is
-  // ignored there); cone off/on must agree bit-for-bit too.
+TEST(FaultCollapse, TransitionIgnoresCollapse) {
+  // Transition faults are never collapsed (the launch condition is
+  // per-fault history); the toggle must not change their report.
   Rng rng(0x7C0E);
   for (int round = 0; round < 3; ++round) {
     const int inputs = 4 + static_cast<int>(rng.below(10));
@@ -194,17 +125,14 @@ TEST(FaultCollapse, TransitionConeMatchesPlain) {
     const PatternSet pats =
         RandomPatterns(rng, inputs, 70 + static_cast<int>(rng.below(100)));
     for (const bool drop : {true, false}) {
-      const auto plain = RunTransitionFaultSim(nl, pats, faults, nullptr,
-                                               {.drop_detected = drop,
-                                                .num_threads = 1,
-                                                .collapse = false,
-                                                .cone_limit = false});
-      const auto coned = RunTransitionFaultSim(nl, pats, faults, nullptr,
-                                               {.drop_detected = drop,
-                                                .num_threads = 1,
-                                                .collapse = true,
-                                                .cone_limit = true});
-      ExpectIdentical(plain, coned, "transition cone");
+      const auto ref =
+          ReferenceTransitionFaultSim(nl, pats, faults, nullptr, drop);
+      for (const bool collapse : {false, true}) {
+        const auto got = RunTransitionFaultSim(
+            nl, pats, faults, nullptr,
+            {.drop_detected = drop, .num_threads = 1, .collapse = collapse});
+        ExpectIdentical(ref, got, "transition");
+      }
     }
   }
 }

@@ -1,12 +1,12 @@
 // Differential and property tests for the fault-parallel PPSFP engine:
-// randomized netlists x random pattern sets, asserting that the sharded
-// engine (num_threads in {2, 4, 8}, and 0 = all cores) reproduces the
-// serial oracle (num_threads = 1) bit-for-bit — first_detect,
-// detected_mask and both per-pattern histograms — with and without fault
-// dropping and under nontrivial skip masks. A repeated-run determinism
-// test catches merge-order races that a single diff against serial could
-// miss. This suite carries the ctest label `tsan`: build with
-// -DGPUSTL_SANITIZE=thread and run `ctest -L tsan` to race-check the
+// randomized netlists x random pattern sets, asserting that the engine,
+// serial and sharded (num_threads in {1, 2, 5, 8}, and 0 = all cores),
+// reproduces the reference simulator (tests/reference_sim.h) bit-for-bit —
+// first_detect, detected_mask and both per-pattern histograms — with and
+// without fault dropping and under nontrivial skip masks. A repeated-run
+// determinism test catches merge-order races that a one-shot diff could
+// miss. This suite carries the ctest labels `oracle` and `tsan`: build
+// with -DGPUSTL_SANITIZE=thread and run `ctest -L tsan` to race-check the
 // worker pool.
 #include <gtest/gtest.h>
 
@@ -21,79 +21,20 @@
 #include "fault/transition.h"
 #include "netlist/netlist.h"
 #include "netlist/patterns.h"
+#include "tests/fault_test_util.h"
+#include "tests/reference_sim.h"
 
 namespace gpustl::fault {
 namespace {
 
-using netlist::CellType;
-using netlist::NetId;
 using netlist::Netlist;
 using netlist::PatternSet;
+using testutil::ExpectIdentical;
+using testutil::RandomNetlist;
+using testutil::RandomPatterns;
+using testutil::RandomSkip;
 
-/// A random combinational netlist: `num_gates` gates of random library
-/// cells over random already-built nets (ids ascending, so the result is
-/// acyclic by construction), with the last gates plus a random sample
-/// marked as outputs.
-Netlist RandomNetlist(Rng& rng, int num_inputs, int num_gates) {
-  static constexpr CellType kTypes[] = {
-      CellType::kBuf,   CellType::kInv,   CellType::kAnd2,  CellType::kAnd3,
-      CellType::kAnd4,  CellType::kOr2,   CellType::kOr3,   CellType::kOr4,
-      CellType::kNand2, CellType::kNand3, CellType::kNand4, CellType::kNor2,
-      CellType::kNor3,  CellType::kNor4,  CellType::kXor2,  CellType::kXnor2,
-      CellType::kMux2,  CellType::kAoi21, CellType::kAoi22, CellType::kOai21,
-      CellType::kOai22};
-
-  Netlist nl("rand");
-  std::vector<NetId> nets;
-  for (int i = 0; i < num_inputs; ++i) {
-    nets.push_back(nl.AddInput("i" + std::to_string(i)));
-  }
-  for (int g = 0; g < num_gates; ++g) {
-    const CellType type = kTypes[rng.below(std::size(kTypes))];
-    std::vector<NetId> fanin(netlist::CellFaninCount(type));
-    for (NetId& f : fanin) f = nets[rng.below(nets.size())];
-    nets.push_back(nl.AddGate(type, fanin));
-  }
-  // Observe the last two gates (so deep logic is visible) plus a few random
-  // internal nets — module-level observability with a partial output port.
-  int out = 0;
-  nl.MarkOutput(nets[nets.size() - 1], "o" + std::to_string(out++));
-  nl.MarkOutput(nets[nets.size() - 2], "o" + std::to_string(out++));
-  for (int k = 0; k < 3; ++k) {
-    nl.MarkOutput(nets[num_inputs + rng.below(num_gates)],
-                  "o" + std::to_string(out++));
-  }
-  nl.Freeze();
-  return nl;
-}
-
-PatternSet RandomPatterns(Rng& rng, int width, int count) {
-  PatternSet pats(width);
-  const std::uint64_t mask =
-      width >= 64 ? ~0ull : ((1ull << width) - 1);
-  for (int p = 0; p < count; ++p) {
-    pats.Add64(static_cast<std::uint64_t>(p), rng() & mask);
-  }
-  return pats;
-}
-
-BitVec RandomSkip(Rng& rng, std::size_t n, double p) {
-  BitVec skip(n, false);
-  for (std::size_t i = 0; i < n; ++i) skip.Set(i, rng.chance(p));
-  return skip;
-}
-
-void ExpectIdentical(const FaultSimResult& serial,
-                     const FaultSimResult& parallel, const char* what) {
-  EXPECT_EQ(serial.first_detect, parallel.first_detect) << what;
-  EXPECT_EQ(serial.detects_per_pattern, parallel.detects_per_pattern) << what;
-  EXPECT_EQ(serial.activates_per_pattern, parallel.activates_per_pattern)
-      << what;
-  EXPECT_EQ(serial.num_detected, parallel.num_detected) << what;
-  EXPECT_TRUE(serial.detected_mask == parallel.detected_mask) << what;
-}
-
-TEST(FaultSimParallel, DifferentialAgainstSerialOracle) {
+TEST(FaultSimParallel, ShardedMatchesReference) {
   Rng rng(0xD1FF);
   for (int round = 0; round < 6; ++round) {
     const int inputs = 4 + static_cast<int>(rng.below(12));
@@ -105,21 +46,18 @@ TEST(FaultSimParallel, DifferentialAgainstSerialOracle) {
     const PatternSet pats = RandomPatterns(rng, inputs, npat);
 
     for (const bool drop : {true, false}) {
-      const auto serial =
-          RunFaultSim(nl, pats, faults, nullptr,
-                      {.drop_detected = drop, .num_threads = 1});
-      for (const int threads : {2, 4, 8}) {
-        const auto parallel =
+      const auto ref = ReferenceFaultSim(nl, pats, faults, nullptr, drop);
+      for (const int threads : {1, 2, 5, 8}) {
+        const auto got =
             RunFaultSim(nl, pats, faults, nullptr,
                         {.drop_detected = drop, .num_threads = threads});
-        ExpectIdentical(serial, parallel,
-                        drop ? "drop_detected" : "no-drop");
+        ExpectIdentical(ref, got, drop ? "drop_detected" : "no-drop");
       }
     }
   }
 }
 
-TEST(FaultSimParallel, DifferentialWithSkipMasks) {
+TEST(FaultSimParallel, ShardedWithSkipMasksMatchesReference) {
   Rng rng(0x5C1B);
   for (int round = 0; round < 4; ++round) {
     const int inputs = 6 + static_cast<int>(rng.below(8));
@@ -132,14 +70,12 @@ TEST(FaultSimParallel, DifferentialWithSkipMasks) {
     for (const double density : {0.1, 0.5, 0.9, 1.0}) {
       const BitVec skip = RandomSkip(rng, faults.size(), density);
       for (const bool drop : {true, false}) {
-        const auto serial =
-            RunFaultSim(nl, pats, faults, &skip,
-                        {.drop_detected = drop, .num_threads = 1});
-        for (const int threads : {2, 4, 8}) {
+        const auto ref = ReferenceFaultSim(nl, pats, faults, &skip, drop);
+        for (const int threads : {1, 2, 5, 8}) {
           const auto parallel =
               RunFaultSim(nl, pats, faults, &skip,
                           {.drop_detected = drop, .num_threads = threads});
-          ExpectIdentical(serial, parallel, "skip mask");
+          ExpectIdentical(ref, parallel, "skip mask");
           // Skipped faults must never surface in any report field.
           for (std::size_t fi = 0; fi < faults.size(); ++fi) {
             if (skip.Get(fi)) {
@@ -154,7 +90,7 @@ TEST(FaultSimParallel, DifferentialWithSkipMasks) {
   }
 }
 
-TEST(FaultSimParallel, TransitionDifferentialAgainstSerial) {
+TEST(FaultSimParallel, TransitionShardedMatchesReference) {
   // The transition engine shards the same way (per-fault launch history
   // partitions with the fault list), so it gets the same differential lock.
   Rng rng(0x7A17);
@@ -169,14 +105,13 @@ TEST(FaultSimParallel, TransitionDifferentialAgainstSerial) {
 
     for (const bool drop : {true, false}) {
       for (const BitVec* mask : {static_cast<const BitVec*>(nullptr), &skip}) {
-        const auto serial =
-            RunTransitionFaultSim(nl, pats, faults, mask,
-                                  {.drop_detected = drop, .num_threads = 1});
-        for (const int threads : {2, 4, 8}) {
+        const auto ref =
+            ReferenceTransitionFaultSim(nl, pats, faults, mask, drop);
+        for (const int threads : {1, 2, 5, 8}) {
           const auto parallel = RunTransitionFaultSim(
               nl, pats, faults, mask,
               {.drop_detected = drop, .num_threads = threads});
-          ExpectIdentical(serial, parallel, "transition");
+          ExpectIdentical(ref, parallel, "transition");
         }
       }
     }
@@ -211,10 +146,10 @@ TEST(FaultSimParallel, ZeroThreadsUsesAllCoresAndStaysExact) {
   const auto faults = CollapsedFaultList(nl);
   const PatternSet pats = RandomPatterns(rng, 8, 130);
 
-  const auto serial = RunFaultSim(nl, pats, faults);
   const auto parallel = RunFaultSim(nl, pats, faults, nullptr,
                                     {.drop_detected = true, .num_threads = 0});
-  ExpectIdentical(serial, parallel, "num_threads = 0");
+  ExpectIdentical(ReferenceFaultSim(nl, pats, faults, nullptr, true), parallel,
+                  "num_threads = 0");
 }
 
 TEST(FaultSimParallel, MoreThreadsThanFaults) {
@@ -226,10 +161,10 @@ TEST(FaultSimParallel, MoreThreadsThanFaults) {
   faults.resize(3);
   const PatternSet pats = RandomPatterns(rng, 5, 40);
 
-  const auto serial = RunFaultSim(nl, pats, faults);
   const auto parallel = RunFaultSim(nl, pats, faults, nullptr,
                                     {.drop_detected = true, .num_threads = 64});
-  ExpectIdentical(serial, parallel, "threads > faults");
+  ExpectIdentical(ReferenceFaultSim(nl, pats, faults, nullptr, true), parallel,
+                  "threads > faults");
 }
 
 TEST(FaultSimParallel, EmptyPatternSetAndFullSkip) {

@@ -1,13 +1,14 @@
 // Fanout-free-region decomposition invariants and differential bit-identity
-// of the FFR-clustered critical-path-tracing engine (ffr_trace=true, the
-// default) against the classic per-class engine (ffr_trace=false): on
-// randomized netlists and on the bundled DU/SP/SFU modules, first_detect,
-// detected_mask and both per-pattern histograms must match bit-for-bit
-// across drop/no-drop, skip masks, collapse/cone combinations, thread
+// of the FFR-clustered critical-path-tracing engine against the reference
+// simulator (tests/reference_sim.h), which propagates every fault on its
+// own: on randomized netlists and on the bundled DU/SP/SFU modules,
+// first_detect, detected_mask and both per-pattern histograms must match
+// bit-for-bit across drop/no-drop, skip masks, collapse on/off, thread
 // counts and both fault-list flavours.
 //
-// This suite carries the ctest label `tsan` (the FFR engine shards whole
-// regions over the worker pool and shares good-machine blocks read-only).
+// This suite carries the ctest labels `tsan` (the engine shards whole
+// regions over the worker pool and shares good-machine blocks read-only)
+// and `oracle`.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +24,8 @@
 #include "netlist/cell.h"
 #include "netlist/netlist.h"
 #include "netlist/patterns.h"
+#include "tests/fault_test_util.h"
+#include "tests/reference_sim.h"
 
 namespace gpustl::fault {
 namespace {
@@ -31,61 +34,12 @@ using netlist::CellType;
 using netlist::NetId;
 using netlist::Netlist;
 using netlist::PatternSet;
-
-Netlist RandomNetlist(Rng& rng, int num_inputs, int num_gates) {
-  static constexpr CellType kTypes[] = {
-      CellType::kBuf,   CellType::kInv,   CellType::kAnd2,  CellType::kAnd3,
-      CellType::kAnd4,  CellType::kOr2,   CellType::kOr3,   CellType::kOr4,
-      CellType::kNand2, CellType::kNand3, CellType::kNand4, CellType::kNor2,
-      CellType::kNor3,  CellType::kNor4,  CellType::kXor2,  CellType::kXnor2,
-      CellType::kMux2,  CellType::kAoi21, CellType::kAoi22, CellType::kOai21,
-      CellType::kOai22, CellType::kConst0, CellType::kConst1};
-
-  Netlist nl("rand");
-  std::vector<NetId> nets;
-  for (int i = 0; i < num_inputs; ++i) {
-    nets.push_back(nl.AddInput("i" + std::to_string(i)));
-  }
-  for (int g = 0; g < num_gates; ++g) {
-    const CellType type = kTypes[rng.below(std::size(kTypes))];
-    std::vector<NetId> fanin(netlist::CellFaninCount(type));
-    for (NetId& f : fanin) f = nets[rng.below(nets.size())];
-    nets.push_back(nl.AddGate(type, fanin));
-  }
-  int out = 0;
-  nl.MarkOutput(nets[nets.size() - 1], "o" + std::to_string(out++));
-  nl.MarkOutput(nets[nets.size() - 2], "o" + std::to_string(out++));
-  for (int k = 0; k < 3; ++k) {
-    nl.MarkOutput(nets[num_inputs + rng.below(num_gates)],
-                  "o" + std::to_string(out++));
-  }
-  nl.Freeze();
-  return nl;
-}
-
-PatternSet RandomPatterns(Rng& rng, int width, int count) {
-  PatternSet pats(width);
-  const std::uint64_t mask = width >= 64 ? ~0ull : ((1ull << width) - 1);
-  for (int p = 0; p < count; ++p) {
-    pats.Add64(static_cast<std::uint64_t>(p), rng() & mask);
-  }
-  return pats;
-}
-
-BitVec RandomSkip(Rng& rng, std::size_t n, double p) {
-  BitVec skip(n, false);
-  for (std::size_t i = 0; i < n; ++i) skip.Set(i, rng.chance(p));
-  return skip;
-}
-
-void ExpectIdentical(const FaultSimResult& want, const FaultSimResult& got,
-                     const char* what) {
-  EXPECT_EQ(want.first_detect, got.first_detect) << what;
-  EXPECT_EQ(want.detects_per_pattern, got.detects_per_pattern) << what;
-  EXPECT_EQ(want.activates_per_pattern, got.activates_per_pattern) << what;
-  EXPECT_EQ(want.num_detected, got.num_detected) << what;
-  EXPECT_TRUE(want.detected_mask == got.detected_mask) << what;
-}
+using testutil::ExpectIdentical;
+using testutil::RandomNetlist;
+using testutil::RandomPatterns;
+using testutil::RandomSkip;
+using testutil::RandomWidePatterns;
+using testutil::SampleMask;
 
 /// Recomputes the stem rule from primitives, independently of Freeze's
 /// sweep: fanout size != 1, primary output, or single consumer is a DFF.
@@ -231,7 +185,7 @@ TEST(FfrClassGroups, GroupingIsValidAndRegionConsistent) {
 
 // --- Engine differentials: FFR tracing is exact ---
 
-TEST(FfrTrace, MatchesClassicEngineOnRandomNetlists) {
+TEST(FfrTrace, MatchesReferenceOnRandomNetlists) {
   Rng rng(0xFF7A);
   for (int round = 0; round < 5; ++round) {
     const int inputs = 4 + static_cast<int>(rng.below(12));
@@ -242,22 +196,12 @@ TEST(FfrTrace, MatchesClassicEngineOnRandomNetlists) {
 
     for (const auto& faults : {EnumerateFaults(nl), CollapsedFaultList(nl)}) {
       for (const bool drop : {true, false}) {
+        const auto ref = ReferenceFaultSim(nl, pats, faults, nullptr, drop);
         for (const bool collapse : {false, true}) {
-          for (const bool cone : {false, true}) {
-            const auto classic = RunFaultSim(nl, pats, faults, nullptr,
-                                             {.drop_detected = drop,
-                                              .num_threads = 1,
-                                              .collapse = collapse,
-                                              .cone_limit = cone,
-                                              .ffr_trace = false});
-            const auto clustered = RunFaultSim(nl, pats, faults, nullptr,
-                                               {.drop_detected = drop,
-                                                .num_threads = 1,
-                                                .collapse = collapse,
-                                                .cone_limit = cone,
-                                                .ffr_trace = true});
-            ExpectIdentical(classic, clustered, "ffr vs classic");
-          }
+          const auto got = RunFaultSim(
+              nl, pats, faults, nullptr,
+              {.drop_detected = drop, .num_threads = 1, .collapse = collapse});
+          ExpectIdentical(ref, got, "ffr vs reference");
         }
       }
     }
@@ -276,61 +220,37 @@ TEST(FfrTrace, SkipMasksAndThreads) {
     for (const double density : {0.1, 0.5, 1.0}) {
       const BitVec skip = RandomSkip(rng, faults.size(), density);
       for (const bool drop : {true, false}) {
-        const auto classic = RunFaultSim(nl, pats, faults, &skip,
-                                         {.drop_detected = drop,
-                                          .num_threads = 1,
-                                          .ffr_trace = false});
+        const auto ref = ReferenceFaultSim(nl, pats, faults, &skip, drop);
         for (const int threads : {1, 2, 5}) {
-          const auto clustered = RunFaultSim(nl, pats, faults, &skip,
-                                             {.drop_detected = drop,
-                                              .num_threads = threads,
-                                              .ffr_trace = true});
-          ExpectIdentical(classic, clustered, "ffr skip/threads");
-          for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-            if (skip.Get(fi)) {
-              EXPECT_EQ(clustered.first_detect[fi],
-                        FaultSimResult::kNotDetected);
-              EXPECT_FALSE(clustered.detected_mask.Get(fi));
-            }
-          }
+          const auto got = RunFaultSim(
+              nl, pats, faults, &skip,
+              {.drop_detected = drop, .num_threads = threads});
+          ExpectIdentical(ref, got, "ffr skip/threads");
         }
       }
     }
   }
 }
 
-/// Like RandomPatterns but for module widths beyond 64 bits (PatternSet
-/// masks the padding bits of the last word itself).
-PatternSet RandomWidePatterns(Rng& rng, int width, int count) {
-  PatternSet pats(width);
-  std::vector<std::uint64_t> words((width + 63) / 64);
-  for (int p = 0; p < count; ++p) {
-    for (std::uint64_t& w : words) w = rng();
-    pats.Add(static_cast<std::uint64_t>(p), words.data());
-  }
-  return pats;
-}
-
-TEST(FfrTrace, BundledModulesBitIdenticalAcrossThreads) {
-  // The acceptance criterion: on every bundled module the FFR-clustered
-  // report equals the classic report for serial and >= 2 thread counts.
+TEST(FfrTrace, BundledModulesMatchReferenceAcrossThreads) {
+  // On every bundled module the FFR-clustered report equals the
+  // reference's for serial and >= 2 thread counts. The reference is per
+  // fault, so the modules run on a fixed sample of faults (a skip mask,
+  // like the one cross-PTP dropping produces in a campaign).
   Rng rng(0xD0FF);
   const Netlist modules[] = {circuits::BuildDecoderUnit(),
                              circuits::BuildSpCore(), circuits::BuildSfu()};
   for (const Netlist& nl : modules) {
     const auto faults = CollapsedFaultList(nl);
+    const BitVec skip = SampleMask(faults.size(), 1500);
     const PatternSet pats =
         RandomWidePatterns(rng, static_cast<int>(nl.num_inputs()), 256);
-    const auto classic = RunFaultSim(nl, pats, faults, nullptr,
-                                     {.drop_detected = true,
-                                      .num_threads = 1,
-                                      .ffr_trace = false});
+    const auto ref = ReferenceFaultSim(nl, pats, faults, &skip, true);
     for (const int threads : {1, 2, 5}) {
-      const auto clustered = RunFaultSim(nl, pats, faults, nullptr,
-                                         {.drop_detected = true,
-                                          .num_threads = threads,
-                                          .ffr_trace = true});
-      ExpectIdentical(classic, clustered, nl.name().c_str());
+      const auto got =
+          RunFaultSim(nl, pats, faults, &skip,
+                      {.drop_detected = true, .num_threads = threads});
+      ExpectIdentical(ref, got, nl.name());
     }
   }
 }

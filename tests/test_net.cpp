@@ -7,6 +7,8 @@
 // chaos, with no duplicated and no lost events.
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -101,6 +103,28 @@ TEST(NetTest, BackoffDelayStaysWithinEnvelope) {
     EXPECT_EQ(BackoffDelayMs(policy, attempt, rng), expected[attempt])
         << "attempt " << attempt;
   }
+}
+
+TEST(NetTest, AcceptedConnectionsDisableNagle) {
+  // Both ends of a TCP connection set TCP_NODELAY: small reply frames must
+  // not wait for the peer's delayed ACK.
+  std::string error;
+  std::uint16_t port = 0;
+  const int listen_fd = ListenTcp({"127.0.0.1", 0}, &error, &port);
+  ASSERT_GE(listen_fd, 0) << error;
+  const int client_fd = ConnectTcp({"127.0.0.1", port}, 2000, &error);
+  ASSERT_GE(client_fd, 0) << error;
+  const int server_fd = AcceptTcp(listen_fd);
+  ASSERT_GE(server_fd, 0);
+  for (const int fd : {server_fd, client_fd}) {
+    int nodelay = 0;
+    socklen_t len = sizeof(nodelay);
+    ASSERT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len), 0);
+    EXPECT_NE(nodelay, 0) << (fd == server_fd ? "server side" : "client side");
+  }
+  ::close(server_fd);
+  ::close(client_fd);
+  ::close(listen_fd);
 }
 
 // --- Frame codec -------------------------------------------------------------

@@ -1,7 +1,9 @@
 // Cross-validation property tests (parameterized sweeps over seeds):
 //
-//  * random netlists: the PPSFP fault simulator is checked fault-by-fault,
-//    pattern-by-pattern against a brute-force faulty-circuit evaluator;
+//  * random netlists: the PPSFP fault simulator and the reference
+//    simulator (tests/reference_sim.h) are checked fault-by-fault,
+//    pattern-by-pattern against a brute-force faulty-circuit evaluator —
+//    the second, independent oracle — and against each other;
 //  * PODEM patterns on random netlists are confirmed by the fault sim;
 //  * random programs: the GPU model's architectural results are invariant
 //    under the SP-core count (timing-only knob) and bit-identical across
@@ -23,6 +25,7 @@
 #include "isa/disasm.h"
 #include "netlist/logicsim.h"
 #include "stl/generators.h"
+#include "tests/reference_sim.h"
 
 namespace gpustl {
 namespace {
@@ -118,6 +121,10 @@ TEST_P(RandomCircuits, PpsfpMatchesBruteForce) {
   // No dropping so detects_per_pattern records every detection.
   const auto res = fault::RunFaultSim(nl, pats, faults, nullptr,
                                       {.drop_detected = false});
+  const auto reference =
+      fault::ReferenceFaultSim(nl, pats, faults, nullptr, false);
+  EXPECT_TRUE(fault::SameFaultSimResult(res, reference))
+      << "engine differs from the reference, seed " << GetParam();
 
   BruteForce ref{nl, nullptr};
   for (std::size_t fi = 0; fi < faults.size(); ++fi) {
@@ -130,6 +137,9 @@ TEST_P(RandomCircuits, PpsfpMatchesBruteForce) {
     }
     EXPECT_EQ(res.first_detect[fi], first)
         << fault::FaultName(nl, faults[fi]) << " seed " << GetParam();
+    EXPECT_EQ(reference.first_detect[fi], first)
+        << "reference: " << fault::FaultName(nl, faults[fi]) << " seed "
+        << GetParam();
   }
 }
 
@@ -149,6 +159,8 @@ TEST_P(RandomCircuits, PerPatternCountsMatchBruteForce) {
   }
   const auto res = fault::RunFaultSim(nl, pats, faults, nullptr,
                                       {.drop_detected = false});
+  const auto reference =
+      fault::ReferenceFaultSim(nl, pats, faults, nullptr, false);
 
   BruteForce ref{nl, nullptr};
   for (std::size_t p = 0; p < pi_rows.size(); ++p) {
@@ -157,6 +169,8 @@ TEST_P(RandomCircuits, PerPatternCountsMatchBruteForce) {
       expect += ref.Detects(f, pi_rows[p]) ? 1 : 0;
     }
     EXPECT_EQ(res.detects_per_pattern[p], expect) << "pattern " << p;
+    EXPECT_EQ(reference.detects_per_pattern[p], expect)
+        << "reference, pattern " << p;
   }
 }
 

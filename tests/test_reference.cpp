@@ -1,0 +1,237 @@
+// Engine conformance against the reference simulator: the production
+// fault-sim engine must return exactly the FaultSimResult of the naive
+// serial-fault reference (tests/reference_sim.h) — first_detect, both
+// per-pattern histograms, num_detected, detected_mask — on randomized
+// netlists and on the bundled DU/SP/SFU modules, for stuck-at and
+// transition models, across drop/no-drop, skip masks, collapse on/off and
+// thread counts 1/2/5. The width seams are covered deliberately: pattern
+// counts on and around every multiple of 64 and of the engine's 256-pattern
+// block (ragged tails, drop boundaries inside a wide block, the transition
+// launch carry across lanes). A seeded differential fuzzer closes the gaps
+// the enumerated matrix misses; failures print the seed to reproduce.
+//
+// This suite carries the ctest labels `tsan` (the engine shards over the
+// worker pool and shares good-machine bundles read-only) and `oracle`.
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <string>
+#include <vector>
+
+#include "circuits/decoder_unit.h"
+#include "circuits/sfu.h"
+#include "circuits/sp_core.h"
+#include "common/rng.h"
+#include "fault/fault.h"
+#include "fault/faultsim.h"
+#include "fault/transition.h"
+#include "netlist/netlist.h"
+#include "netlist/patterns.h"
+#include "tests/fault_test_util.h"
+#include "tests/reference_sim.h"
+
+namespace gpustl::fault {
+namespace {
+
+using netlist::Netlist;
+using netlist::PatternSet;
+using testutil::ExpectIdentical;
+using testutil::RandomNetlist;
+using testutil::RandomPatterns;
+using testutil::RandomSkip;
+using testutil::RandomWidePatterns;
+using testutil::SampleMask;
+
+/// Pattern counts on and around every 64- and 256-pattern boundary.
+constexpr int kEdgeCounts[] = {1,   63,  64,  65,  127, 128, 255,
+                               256, 257, 449, 511, 512, 513};
+
+std::string Describe(int count, bool drop, bool collapse, int threads) {
+  return "count=" + std::to_string(count) + " drop=" + std::to_string(drop) +
+         " collapse=" + std::to_string(collapse) +
+         " threads=" + std::to_string(threads);
+}
+
+// --- Stuck-at ---
+
+TEST(EngineVsReference, StuckAtRandomNetlistsAtEdgeCounts) {
+  Rng rng(0xBEC0);
+  for (const int count : kEdgeCounts) {
+    const int inputs = 4 + static_cast<int>(rng.below(12));
+    const Netlist nl =
+        RandomNetlist(rng, inputs, 20 + static_cast<int>(rng.below(120)));
+    const PatternSet pats = RandomPatterns(rng, inputs, count);
+    for (const auto& faults : {EnumerateFaults(nl), CollapsedFaultList(nl)}) {
+      for (const bool drop : {true, false}) {
+        const auto ref = ReferenceFaultSim(nl, pats, faults, nullptr, drop);
+        for (const bool collapse : {false, true}) {
+          for (const int threads : {1, 2, 5}) {
+            const auto got = RunFaultSim(nl, pats, faults, nullptr,
+                                         {.drop_detected = drop,
+                                          .num_threads = threads,
+                                          .collapse = collapse});
+            ExpectIdentical(ref, got,
+                            Describe(count, drop, collapse, threads));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(EngineVsReference, StuckAtSkipMasks) {
+  // Includes the degenerate all-skipped mask and partially skipped
+  // equivalence classes (a skipped member must not surface even though
+  // its classmates are simulated).
+  Rng rng(0xBEC1);
+  for (int round = 0; round < 3; ++round) {
+    const int inputs = 6 + static_cast<int>(rng.below(8));
+    const Netlist nl =
+        RandomNetlist(rng, inputs, 30 + static_cast<int>(rng.below(80)));
+    const auto faults = CollapsedFaultList(nl);
+    const PatternSet pats =
+        RandomPatterns(rng, inputs, 40 + static_cast<int>(rng.below(500)));
+    for (const double density : {0.1, 0.5, 1.0}) {
+      const BitVec skip = RandomSkip(rng, faults.size(), density);
+      for (const bool drop : {true, false}) {
+        const auto ref = ReferenceFaultSim(nl, pats, faults, &skip, drop);
+        for (const int threads : {1, 2, 5}) {
+          const auto got = RunFaultSim(
+              nl, pats, faults, &skip,
+              {.drop_detected = drop, .num_threads = threads});
+          ExpectIdentical(ref, got,
+                          "skip=" + std::to_string(density) + " " +
+                              Describe(static_cast<int>(pats.size()), drop,
+                                       true, threads));
+        }
+      }
+    }
+  }
+}
+
+TEST(EngineVsReference, BundledModules) {
+  // The acceptance bar on the real targets: DU/SP/SFU, serial and sharded.
+  // The reference is per fault, so the big modules run on a fixed sample.
+  Rng rng(0xBEC2);
+  const Netlist modules[] = {circuits::BuildDecoderUnit(),
+                             circuits::BuildSpCore(), circuits::BuildSfu()};
+  for (const Netlist& nl : modules) {
+    const auto faults = CollapsedFaultList(nl);
+    const BitVec skip = SampleMask(faults.size(), 1500);
+    // 300 is deliberately not a multiple of 256.
+    const PatternSet pats =
+        RandomWidePatterns(rng, static_cast<int>(nl.num_inputs()), 300);
+    for (const bool drop : {true, false}) {
+      const auto ref = ReferenceFaultSim(nl, pats, faults, &skip, drop);
+      for (const int threads : {1, 2, 5}) {
+        const auto got =
+            RunFaultSim(nl, pats, faults, &skip,
+                        {.drop_detected = drop, .num_threads = threads});
+        ExpectIdentical(ref, got,
+                        nl.name() + " " + Describe(300, drop, true, threads));
+      }
+    }
+  }
+}
+
+// --- Transition ---
+
+TEST(EngineVsReference, TransitionRandomNetlistsAtEdgeCounts) {
+  // The launch carry is the transition model's width seam: the counts land
+  // carries on every lane boundary and on ragged tails.
+  Rng rng(0xBEC3);
+  for (const int count : kEdgeCounts) {
+    const int inputs = 5 + static_cast<int>(rng.below(8));
+    const Netlist nl =
+        RandomNetlist(rng, inputs, 25 + static_cast<int>(rng.below(90)));
+    const auto faults = TransitionFaultList(nl);
+    const PatternSet pats = RandomPatterns(rng, inputs, count);
+    const BitVec skip = RandomSkip(rng, faults.size(), 0.3);
+    for (const BitVec* mask : {static_cast<const BitVec*>(nullptr), &skip}) {
+      for (const bool drop : {true, false}) {
+        const auto ref =
+            ReferenceTransitionFaultSim(nl, pats, faults, mask, drop);
+        for (const int threads : {1, 2, 5}) {
+          const auto got = RunTransitionFaultSim(
+              nl, pats, faults, mask,
+              {.drop_detected = drop, .num_threads = threads});
+          ExpectIdentical(ref, got,
+                          "transition " +
+                              Describe(count, drop, false, threads));
+        }
+      }
+    }
+  }
+}
+
+TEST(EngineVsReference, TransitionBundledModules) {
+  Rng rng(0xBEC4);
+  const Netlist modules[] = {circuits::BuildDecoderUnit(),
+                             circuits::BuildSpCore(), circuits::BuildSfu()};
+  for (const Netlist& nl : modules) {
+    const auto faults = TransitionFaultList(nl);
+    const BitVec skip = SampleMask(faults.size(), 1500);
+    const PatternSet pats =
+        RandomWidePatterns(rng, static_cast<int>(nl.num_inputs()), 200);
+    for (const bool drop : {true, false}) {
+      const auto ref =
+          ReferenceTransitionFaultSim(nl, pats, faults, &skip, drop);
+      const auto got = RunTransitionFaultSim(
+          nl, pats, faults, &skip, {.drop_detected = drop, .num_threads = 2});
+      ExpectIdentical(ref, got, nl.name() + " transition");
+    }
+  }
+}
+
+// --- Seeded differential fuzz ---
+
+TEST(EngineFuzz, RandomTriplesMatchReference) {
+  // N random (netlist, pattern window, fault list) triples with random
+  // toggles. The seed is in the failure trace — plug it into kFuzzBase
+  // below to reproduce a single case deterministically.
+  constexpr std::uint64_t kFuzzBase = 0xF122ED00;
+  constexpr int kCases = 12;
+  for (int c = 0; c < kCases; ++c) {
+    const std::uint64_t seed = kFuzzBase + static_cast<std::uint64_t>(c);
+    SCOPED_TRACE("fuzz seed 0x" + [&] {
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "%llx",
+                    static_cast<unsigned long long>(seed));
+      return std::string(buf);
+    }());
+    Rng rng(seed);
+
+    const int inputs = 3 + static_cast<int>(rng.below(14));
+    const Netlist nl =
+        RandomNetlist(rng, inputs, 15 + static_cast<int>(rng.below(150)));
+    // Bias the pattern count toward block edges, plus a uniform tail.
+    const int count = rng.chance(0.5)
+                          ? kEdgeCounts[rng.below(std::size(kEdgeCounts))]
+                          : 1 + static_cast<int>(rng.below(700));
+    const PatternSet pats = RandomPatterns(rng, inputs, count);
+
+    const bool transition = rng.chance(0.25);
+    const auto faults =
+        transition ? TransitionFaultList(nl) : EnumerateFaults(nl);
+    const BitVec skip =
+        RandomSkip(rng, faults.size(), rng.chance(0.5) ? 0.0 : 0.3);
+    FaultSimOptions opt;
+    opt.drop_detected = rng.chance(0.7);
+    opt.collapse = rng.chance(0.7);
+    opt.num_threads = 1 + static_cast<int>(rng.below(5));
+
+    if (transition) {
+      ExpectIdentical(ReferenceTransitionFaultSim(nl, pats, faults, &skip,
+                                                  opt.drop_detected),
+                      RunTransitionFaultSim(nl, pats, faults, &skip, opt),
+                      "transition");
+    } else {
+      ExpectIdentical(
+          ReferenceFaultSim(nl, pats, faults, &skip, opt.drop_detected),
+          RunFaultSim(nl, pats, faults, &skip, opt), "stuck-at");
+    }
+  }
+}
+
+}  // namespace
+}  // namespace gpustl::fault

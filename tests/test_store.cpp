@@ -314,11 +314,10 @@ TEST(SimulateWithStoreTest, WarmRunIsBitIdenticalAndCounted) {
   EXPECT_EQ(store.stats().hits, 1u);
   EXPECT_EQ(store.stats().misses, 1u);
 
-  // Collapse/cone/threads toggles are bit-identical by engine contract, so
-  // they deliberately share the entry: all of these must hit.
+  // Collapse/threads toggles are bit-identical by engine contract, so they
+  // deliberately share the entry: all of these must hit.
   fault::FaultSimOptions variants;
   variants.collapse = false;
-  variants.cone_limit = false;
   variants.num_threads = 2;
   const FaultSimResult hit = SimulateWithStore(
       &store, nl, ps, faults, nullptr, variants, SimModel::kStuckAt);
@@ -326,58 +325,9 @@ TEST(SimulateWithStoreTest, WarmRunIsBitIdenticalAndCounted) {
   EXPECT_EQ(store.stats().hits, 2u);
 }
 
-TEST(SimulateWithStoreTest, FfrToggleSharesTheCacheEntry) {
-  // The FFR-clustered engine is bit-identical to the per-class engine, so
-  // ffr_trace must not enter the store key: a result computed with the
-  // default engine serves --no-ffr runs (and vice versa) from the cache.
-  const Netlist nl = SmallNetlist();
-  const PatternSet ps = SmallPatterns();
-  const auto faults = fault::CollapsedFaultList(nl);
-
-  ResultStore store(ScratchDir("ffr_key"));
-  fault::FaultSimOptions with_ffr;
-  with_ffr.ffr_trace = true;
-  const FaultSimResult cold = SimulateWithStore(
-      &store, nl, ps, faults, nullptr, with_ffr, SimModel::kStuckAt);
-  EXPECT_EQ(store.stats().misses, 1u);
-
-  fault::FaultSimOptions without_ffr;
-  without_ffr.ffr_trace = false;
-  const FaultSimResult warm = SimulateWithStore(
-      &store, nl, ps, faults, nullptr, without_ffr, SimModel::kStuckAt);
-  ExpectSameResult(cold, warm);
-  EXPECT_EQ(store.stats().hits, 1u);
-  EXPECT_EQ(store.stats().misses, 1u);
-}
-
-TEST(SimulateWithStoreTest, BackendToggleSharesTheCacheEntry) {
-  // Every engine backend is bit-identical by the conformance contract
-  // (tests/test_backend.cpp), so the backend must not enter the store key:
-  // a result computed by the scalar oracle serves wide-backend runs (and
-  // vice versa) from the cache, exactly like the ffr/collapse toggles.
-  const Netlist nl = SmallNetlist();
-  const PatternSet ps = SmallPatterns();
-  const auto faults = fault::CollapsedFaultList(nl);
-
-  ResultStore store(ScratchDir("backend_key"));
-  fault::FaultSimOptions scalar;
-  scalar.backend = fault::Backend::kScalar;
-  const FaultSimResult cold = SimulateWithStore(
-      &store, nl, ps, faults, nullptr, scalar, SimModel::kStuckAt);
-  EXPECT_EQ(store.stats().misses, 1u);
-
-  fault::FaultSimOptions wide;
-  wide.backend = fault::Backend::kWide;
-  const FaultSimResult warm = SimulateWithStore(
-      &store, nl, ps, faults, nullptr, wide, SimModel::kStuckAt);
-  ExpectSameResult(cold, warm);
-  EXPECT_EQ(store.stats().hits, 1u);
-  EXPECT_EQ(store.stats().misses, 1u);
-}
-
 TEST(SimulateWithStoreTest, TrimToggleSharesTheCacheEntry) {
   // Redundancy trimming is exact (tests/test_trim.cpp), so, like the
-  // backend, none of its toggles may enter the store key: an untrimmed
+  // thread count, none of its toggles may enter the store key: an untrimmed
   // run's entry serves trimmed runs (and vice versa) from the cache.
   const Netlist nl = SmallNetlist();
   const PatternSet ps = SmallPatterns();

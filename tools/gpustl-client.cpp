@@ -69,14 +69,14 @@ int Usage() {
       "  --deadline S           whole-job wall-clock budget in seconds\n"
       "  --stage-deadline S     per-stage budget in seconds\n"
       "  --threads N            fault-sim workers for this job\n"
-      "  --backend B            fault-sim backend for this job\n"
       "  --checkpoint <dir>     checkpoint after every PTP; resume from a\n"
       "                         matching checkpoint in <dir>\n"
-      "  --no-collapse / --no-cone / --no-ffr / --no-trim\n"
+      "  --no-collapse / --no-trim\n"
       "  --report <file>        write the campaign report text\n"
       "  --json                 print raw event lines instead of summaries\n"
       "\n"
-      "exit codes: 0 complete, 1 failed, 2 usage, 3 complete DEGRADED,\n"
+      "exit codes: 0 complete, 1 failed, 2 usage (unknown command or flag,\n"
+      "missing or malformed flag value), 3 complete DEGRADED,\n"
       "4 rejected, 5 transport error.\n");
   return 2;
 }
@@ -84,6 +84,12 @@ int Usage() {
 [[noreturn]] void Die(const std::string& msg) {
   std::fprintf(stderr, "gpustl-client: %s\n", msg.c_str());
   std::exit(1);
+}
+
+/// A malformed command line is a usage error: exit 2.
+[[noreturn]] void DieUsage(const std::string& msg) {
+  std::fprintf(stderr, "gpustl-client: %s\n", msg.c_str());
+  std::exit(2);
 }
 
 /// Transport failures get their own exit code (5) so wrappers can retry
@@ -142,15 +148,12 @@ struct SubmitArgs {
   std::string manifest;
   std::string tenant;
   std::string priority;
-  std::string backend;
   std::string checkpoint_dir;
   std::string report_path;
   double deadline = -1.0;
   double stage_deadline = -1.0;
   int threads = -1;
   bool no_collapse = false;
-  bool no_cone = false;
-  bool no_ffr = false;
   bool no_trim = false;
   bool raw_json = false;
 };
@@ -167,10 +170,7 @@ service::Json BuildSubmitRequest(const SubmitArgs& args) {
   if (args.deadline >= 0) req.Set("deadline", args.deadline);
   if (args.stage_deadline >= 0) req.Set("stage_deadline", args.stage_deadline);
   if (args.threads >= 0) req.Set("threads", args.threads);
-  if (!args.backend.empty()) req.Set("backend", args.backend);
   if (args.no_collapse) req.Set("no_collapse", true);
-  if (args.no_cone) req.Set("no_cone", true);
-  if (args.no_ffr) req.Set("no_ffr", true);
   if (args.no_trim) req.Set("no_trim", true);
   if (!args.checkpoint_dir.empty()) {
     req.Set("checkpoint_dir",
@@ -317,12 +317,12 @@ int Main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> std::string {
-      if (++i >= argc) Die("flag " + arg + " needs a value");
+      if (++i >= argc) DieUsage("flag " + arg + " needs a value");
       return argv[i];
     };
     auto next_float = [&]() {
       const auto v = ParseFloat(next());
-      if (!v || *v < 0) Die(arg + " must be >= 0");
+      if (!v || *v < 0) DieUsage(arg + " must be >= 0");
       return *v;
     };
     if (arg == "--socket") socket_path = next();
@@ -330,13 +330,13 @@ int Main(int argc, char** argv) {
     else if (arg == "--secret") secret = next();
     else if (arg == "--retries") {
       const auto v = ParseInt(next());
-      if (!v || *v < 1) Die("--retries must be >= 1");
+      if (!v || *v < 1) DieUsage("--retries must be >= 1");
       retries = static_cast<int>(*v);
     }
     else if (arg == "--chaos") chaos = next();
     else if (arg == "--chaos-seed") {
       const auto v = ParseInt(next());
-      if (!v || *v < 0) Die("--chaos-seed must be >= 0");
+      if (!v || *v < 0) DieUsage("--chaos-seed must be >= 0");
       chaos_seed = static_cast<std::uint64_t>(*v);
     }
     else if (arg == "--manifest") submit.manifest = next();
@@ -346,20 +346,17 @@ int Main(int argc, char** argv) {
     else if (arg == "--stage-deadline") submit.stage_deadline = next_float();
     else if (arg == "--threads") {
       const auto v = ParseInt(next());
-      if (!v || *v < 0) Die("--threads must be >= 0");
+      if (!v || *v < 0) DieUsage("--threads must be >= 0");
       submit.threads = static_cast<int>(*v);
     }
-    else if (arg == "--backend") submit.backend = next();
     else if (arg == "--checkpoint") submit.checkpoint_dir = next();
     else if (arg == "--report") submit.report_path = next();
     else if (arg == "--no-collapse") submit.no_collapse = true;
-    else if (arg == "--no-cone") submit.no_cone = true;
-    else if (arg == "--no-ffr") submit.no_ffr = true;
     else if (arg == "--no-trim") submit.no_trim = true;
     else if (arg == "--json") submit.raw_json = true;
-    else if (!arg.empty() && arg[0] == '-') Die("unknown flag " + arg);
+    else if (!arg.empty() && arg[0] == '-') DieUsage("unknown flag " + arg);
     else if (command.empty()) command = arg;
-    else Die("unexpected argument " + arg);
+    else DieUsage("unexpected argument " + arg);
   }
 
   if (command.empty()) return Usage();

@@ -59,13 +59,20 @@ int Usage() {
       "\n"
       "The worker exits 0 when the campaign is marked done, or after\n"
       "SIGTERM/SIGINT (it finishes its current unit first). Exit 1 is a\n"
-      "setup error (bad dir, no store).\n");
+      "setup error (bad dir, no store), exit 2 a usage error (unknown\n"
+      "flag, missing or malformed flag value).\n");
   return 2;
 }
 
 [[noreturn]] void Die(const std::string& msg) {
   std::fprintf(stderr, "gpustl-worker: %s\n", msg.c_str());
   std::exit(1);
+}
+
+/// A malformed command line is a usage error: exit 2.
+[[noreturn]] void DieUsage(const std::string& msg) {
+  std::fprintf(stderr, "gpustl-worker: %s\n", msg.c_str());
+  std::exit(2);
 }
 
 std::atomic<bool> g_stop{false};
@@ -84,8 +91,15 @@ int Main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> std::string {
-      if (++i >= argc) Die("flag " + arg + " needs a value");
+      if (++i >= argc) DieUsage("flag " + arg + " needs a value");
       return argv[i];
+    };
+    auto next_int = [&](std::int64_t min) {
+      const auto v = ParseInt(next());
+      if (!v || *v < min) {
+        DieUsage(arg + " must be an integer >= " + std::to_string(min));
+      }
+      return *v;
     };
     if (arg == "--dir") options.dir = next();
     else if (arg == "--connect") connect = next();
@@ -94,23 +108,19 @@ int Main(int argc, char** argv) {
     else if (arg == "--owner") options.owner = next();
     else if (arg == "--cache-dir") options.cache_dir = next();
     else if (arg == "--threads") {
-      options.threads = std::atoi(next().c_str());
-      if (options.threads < 0) Die("--threads must be >= 0");
+      options.threads = static_cast<int>(next_int(0));
     }
     else if (arg == "--stale") {
       const auto v = ParseFloat(next());
-      if (!v || *v <= 0) Die("--stale must be > 0 seconds");
+      if (!v || *v <= 0) DieUsage("--stale must be > 0 seconds");
       options.stale_seconds = *v;
     }
     else if (arg == "--poll-ms") {
-      options.poll_ms = std::atoi(next().c_str());
-      if (options.poll_ms < 1) Die("--poll-ms must be >= 1");
+      options.poll_ms = static_cast<int>(next_int(1));
     }
     else if (arg == "--chaos") chaos = next();
     else if (arg == "--chaos-seed") {
-      const auto v = ParseInt(next());
-      if (!v || *v < 0) Die("--chaos-seed must be >= 0");
-      chaos_seed = static_cast<std::uint64_t>(*v);
+      chaos_seed = static_cast<std::uint64_t>(next_int(0));
     }
     else return Usage();
   }

@@ -39,7 +39,6 @@
 #include "compact/report.h"
 #include "compact/stl_campaign.h"
 #include "distrib/coordinator.h"
-#include "fault/backend.h"
 #include "fault/collapse.h"
 #include "fault/faultsim.h"
 #include "gpu/sm.h"
@@ -104,19 +103,10 @@ int Usage() {
       "with N workers (0 = all cores, default 1 = serial). Reports are\n"
       "bit-identical for every N.\n"
       "\n"
-      "faultsim/compact/campaign also accept --no-collapse (simulate every\n"
+      "faultsim/compact/campaign also accept --no-collapse: simulate every\n"
       "fault instead of one representative per structural equivalence\n"
-      "class), --no-cone (disable output-cone pruning) and --no-ffr (or\n"
-      "GPUSTL_NO_FFR=1: fall back from FFR-clustered critical-path tracing\n"
-      "to one propagation per fault class). All three only trade speed;\n"
-      "reports are bit-identical either way.\n"
-      "\n"
-      "faultsim/compact/campaign accept --backend B (or GPUSTL_BACKEND):\n"
-      "selects the fault-simulation engine backend. B is one of auto\n"
-      "(default: runtime CPU dispatch), scalar (the 64-pattern oracle),\n"
-      "wide (portable 256-bit bundles), avx2 or avx512. An explicit\n"
-      "backend the CPU or binary lacks is an input error — never a\n"
-      "silent fallback. Reports are bit-identical for every backend.\n"
+      "class. It only trades speed and the report's class count; detection\n"
+      "results are bit-identical either way.\n"
       "\n"
       "faultsim/compact/campaign accept --no-trim (or GPUSTL_NO_TRIM=1):\n"
       "disables execution-redundancy trimming in the fault simulators\n"
@@ -144,7 +134,8 @@ int Usage() {
       "path) — with --chaos-seed N (or GPUSTL_CHAOS_SEED, default 1)\n"
       "selecting the schedule.\n"
       "\n"
-      "exit codes: 0 success, 1 fatal error, 2 usage, 3 campaign finished\n"
+      "exit codes: 0 success, 1 fatal error, 2 usage (unknown command or\n"
+      "flag, missing or malformed flag value), 3 campaign finished\n"
       "DEGRADED (at least one entry failed and was carried uncompacted).\n");
   return 2;
 }
@@ -152,6 +143,24 @@ int Usage() {
 [[noreturn]] void Die(const std::string& msg) {
   std::fprintf(stderr, "gpustlc: %s\n", msg.c_str());
   std::exit(1);
+}
+
+/// A malformed command line (unknown flag, missing or bad flag value) is a
+/// usage error: exit 2, like a missing command.
+[[noreturn]] void DieUsage(const std::string& msg) {
+  std::fprintf(stderr, "gpustlc: %s\n", msg.c_str());
+  std::exit(2);
+}
+
+/// Integer flag value: anything but a decimal/hex integer >= `min` is a
+/// usage error, never a silent 0.
+std::int64_t IntFlag(const std::string& flag, const std::string& value,
+                     std::int64_t min) {
+  const auto v = ParseInt(value);
+  if (!v || *v < min) {
+    DieUsage(flag + " must be an integer >= " + std::to_string(min));
+  }
+  return *v;
 }
 
 /// Boolean env toggle: set and neither empty nor "0".
@@ -223,15 +232,9 @@ struct Args {
   bool reverse = false;
   bool no_drop = false;
   bool no_collapse = false;
-  bool no_cone = false;
-  // GPUSTL_NO_FFR mirrors the flag for wrappers that cannot edit argv
+  // GPUSTL_NO_TRIM mirrors --no-trim for wrappers that cannot edit argv
   // (same precedent as GPUSTL_CACHE_DIR); "0"/empty mean unset.
-  bool no_ffr = EnvTruthy("GPUSTL_NO_FFR");
-  // GPUSTL_NO_TRIM: same contract for the redundancy-trimming layer.
   bool no_trim = EnvTruthy("GPUSTL_NO_TRIM");
-  // kAuto defers to ResolveBackend, which honours $GPUSTL_BACKEND — the
-  // flag takes precedence by selecting a concrete backend here.
-  fault::Backend backend = fault::Backend::kAuto;
   bool no_cache = false;
   bool vcd = false;
   std::uint32_t dump_addr = 0;
@@ -241,7 +244,7 @@ struct Args {
     for (int i = first; i < argc; ++i) {
       const std::string arg = argv[i];
       auto next = [&]() -> std::string {
-        if (++i >= argc) Die("flag " + arg + " needs a value");
+        if (++i >= argc) DieUsage("flag " + arg + " needs a value");
         return argv[i];
       };
       if (arg == "-o") out = next();
@@ -253,55 +256,43 @@ struct Args {
       else if (arg == "--state") state = next();
       else if (arg == "--no-drop") no_drop = true;
       else if (arg == "--no-collapse") no_collapse = true;
-      else if (arg == "--no-cone") no_cone = true;
-      else if (arg == "--no-ffr") no_ffr = true;
       else if (arg == "--no-trim") no_trim = true;
-      else if (arg == "--backend") {
-        const auto b = fault::ParseBackend(next());
-        if (!b) Die("--backend must be auto, scalar, wide, avx2 or avx512");
-        backend = *b;
-      }
       else if (arg == "--cache-dir") cache_dir = next();
       else if (arg == "--no-cache") no_cache = true;
       else if (arg == "--resume") resume = next();
       else if (arg == "--distrib-dir") distrib_dir = next();
       else if (arg == "--distrib-workers") {
-        distrib_workers = std::atoi(next().c_str());
-        if (distrib_workers < 0) Die("--distrib-workers must be >= 0");
+        distrib_workers = static_cast<int>(IntFlag(arg, next(), 0));
       }
       else if (arg == "--workers-external") workers_external = true;
       else if (arg == "--distrib-stale") {
         const auto v = ParseFloat(next());
-        if (!v || *v <= 0) Die("--distrib-stale must be > 0 seconds");
+        if (!v || *v <= 0) DieUsage("--distrib-stale must be > 0 seconds");
         distrib_stale = *v;
       }
       else if (arg == "--chaos") chaos = next();
       else if (arg == "--chaos-seed") {
-        const auto v = ParseInt(next());
-        if (!v || *v < 0) Die("--chaos-seed must be >= 0");
-        chaos_seed = static_cast<std::uint64_t>(*v);
+        chaos_seed = static_cast<std::uint64_t>(IntFlag(arg, next(), 0));
       }
       else if (arg == "--deadline") {
         const auto v = ParseFloat(next());
-        if (!v || *v < 0) Die("--deadline must be >= 0 seconds");
+        if (!v || *v < 0) DieUsage("--deadline must be >= 0 seconds");
         deadline = *v;
       }
       else if (arg == "--cache-limit-mb") {
-        const auto v = ParseInt(next());
-        if (!v || *v < 0) Die("--cache-limit-mb must be >= 0");
-        cache_limit_mb = static_cast<std::uint64_t>(*v);
+        cache_limit_mb = static_cast<std::uint64_t>(IntFlag(arg, next(), 0));
       }
-      else if (arg == "--sp") sp_cores = std::atoi(next().c_str());
+      else if (arg == "--sp") {
+        sp_cores = static_cast<int>(IntFlag(arg, next(), 1));
+      }
       else if (arg == "--threads") {
-        threads = std::atoi(next().c_str());
-        if (threads < 0) Die("--threads must be >= 0");
+        threads = static_cast<int>(IntFlag(arg, next(), 0));
       }
       else if (arg == "--dump") {
-        dump_addr = static_cast<std::uint32_t>(
-            ParseInt(next()).value_or(0));
-        dump_count = std::atoi(next().c_str());
+        dump_addr = static_cast<std::uint32_t>(IntFlag(arg, next(), 0));
+        dump_count = static_cast<int>(IntFlag(arg, next(), 0));
       } else if (!arg.empty() && arg[0] == '-') {
-        Die("unknown flag " + arg);
+        DieUsage("unknown flag " + arg);
       } else {
         positional.push_back(arg);
       }
@@ -453,9 +444,6 @@ int CmdFaultsim(const Args& args) {
       .drop_detected = !args.no_drop,
       .num_threads = args.threads,
       .collapse = !args.no_collapse,
-      .cone_limit = !args.no_cone,
-      .ffr_trace = !args.no_ffr,
-      .backend = args.backend,
       .cancel = args.deadline > 0 ? &deadline_token : nullptr,
       .trim = args.Trim()};
   const std::unique_ptr<store::ResultStore> cache = MakeStore(args);
@@ -480,8 +468,6 @@ int CmdFaultsim(const Args& args) {
   std::size_t detecting = 0;
   for (const auto d : report.detects_per_pattern) detecting += d > 0 ? 1 : 0;
   std::printf("  %zu patterns contribute detections\n", detecting);
-  std::printf("  backend: %s\n",
-              fault::BackendName(fault::ResolveBackend(args.backend)).data());
   std::printf("  trim: %s\n", fault::TrimModeName(args.Trim()).c_str());
   if (cache) PrintCacheStats(cache->stats());
   return 0;
@@ -498,9 +484,6 @@ int CmdCompact(const Args& args) {
   options.drop_within_ptp = !args.no_drop;
   options.num_threads = args.threads;
   options.collapse_faults = !args.no_collapse;
-  options.cone_limit = !args.no_cone;
-  options.ffr_trace = !args.no_ffr;
-  options.backend = args.backend;
   options.trim = args.Trim();
   options.stage_deadline_seconds = args.deadline;
   if (args.fault_model == "transition") {
@@ -562,9 +545,6 @@ int CmdCampaign(const Args& args) {
   compact::CompactorOptions base;
   base.num_threads = args.threads;
   base.collapse_faults = !args.no_collapse;
-  base.cone_limit = !args.no_cone;
-  base.ffr_trace = !args.no_ffr;
-  base.backend = args.backend;
   base.trim = args.Trim();
   base.stage_deadline_seconds = args.deadline;
   const std::unique_ptr<store::ResultStore> cache = MakeStore(args);
@@ -720,7 +700,6 @@ int CmdCampaign(const Args& args) {
       "fault lists: %zu classes simulated for %zu faults (-%.1f%%)\n",
       summary.simulated_classes, summary.total_faults,
       summary.fault_collapse_percent());
-  std::printf("backend: %s\n", summary.backend.c_str());
   std::printf("trim: %s (%llu blocks replayed, %llu faults early-exited, "
               "%llu warm hits)\n",
               summary.trim.c_str(),

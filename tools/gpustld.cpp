@@ -22,7 +22,6 @@
 #include "common/chaos.h"
 #include "common/error.h"
 #include "common/strutil.h"
-#include "fault/backend.h"
 #include "fault/trim.h"
 #include "net/broker.h"
 #include "net/net.h"
@@ -68,22 +67,27 @@ int Usage() {
       "  --distrib-stale S      claim staleness horizon in seconds\n"
       "                         (default 30)\n"
       "  --threads N            fault-sim workers per job (default 1)\n"
-      "  --backend B            fault-sim backend (auto, scalar, wide,\n"
-      "                         avx2, avx512)\n"
-      "  --no-collapse / --no-cone / --no-ffr / --no-trim\n"
+      "  --no-collapse / --no-trim\n"
       "                         engine toggles, as in gpustlc\n"
       "  --drain-cancel         on drain, cancel in-flight jobs instead of\n"
       "                         letting them finish\n"
       "  --chaos <spec>         deterministic failure injection (gpustlc\n"
       "  --chaos-seed N         syntax)\n"
       "\n"
-      "exit codes: 0 clean drain, 1 fatal error, 2 usage.\n");
+      "exit codes: 0 clean drain, 1 fatal error, 2 usage (unknown flag,\n"
+      "missing or malformed flag value).\n");
   return 2;
 }
 
 [[noreturn]] void Die(const std::string& msg) {
   std::fprintf(stderr, "gpustld: %s\n", msg.c_str());
   std::exit(1);
+}
+
+/// A malformed command line is a usage error: exit 2.
+[[noreturn]] void DieUsage(const std::string& msg) {
+  std::fprintf(stderr, "gpustld: %s\n", msg.c_str());
+  std::exit(2);
 }
 
 service::SocketServer* g_server = nullptr;
@@ -109,17 +113,17 @@ struct Args {
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       auto next = [&]() -> std::string {
-        if (++i >= argc) Die("flag " + arg + " needs a value");
+        if (++i >= argc) DieUsage("flag " + arg + " needs a value");
         return argv[i];
       };
       auto next_int = [&](std::int64_t min) {
         const auto v = ParseInt(next());
-        if (!v || *v < min) Die("bad value for " + arg);
+        if (!v || *v < min) DieUsage("bad value for " + arg);
         return *v;
       };
       auto next_float = [&]() {
         const auto v = ParseFloat(next());
-        if (!v || *v < 0) Die(arg + " must be >= 0");
+        if (!v || *v < 0) DieUsage(arg + " must be >= 0");
         return *v;
       };
       if (arg == "--socket") socket_path = next();
@@ -141,24 +145,17 @@ struct Args {
       else if (arg == "--distrib-stale") {
         service.distrib_stale_seconds = next_float();
         if (service.distrib_stale_seconds <= 0)
-          Die("--distrib-stale must be > 0");
+          DieUsage("--distrib-stale must be > 0");
       }
       else if (arg == "--threads")
         service.base.num_threads = static_cast<int>(next_int(0));
-      else if (arg == "--backend") {
-        const auto b = fault::ParseBackend(next());
-        if (!b) Die("--backend must be auto, scalar, wide, avx2 or avx512");
-        service.base.backend = *b;
-      }
       else if (arg == "--no-collapse") service.base.collapse_faults = false;
-      else if (arg == "--no-cone") service.base.cone_limit = false;
-      else if (arg == "--no-ffr") service.base.ffr_trace = false;
       else if (arg == "--no-trim") service.base.trim = fault::NoTrim();
       else if (arg == "--drain-cancel") drain_cancel = true;
       else if (arg == "--chaos") chaos = next();
       else if (arg == "--chaos-seed")
         chaos_seed = static_cast<std::uint64_t>(next_int(0));
-      else Die("unknown flag " + arg);
+      else DieUsage("unknown flag " + arg);
     }
   }
 };
