@@ -4,9 +4,11 @@
 #include <sys/file.h>
 #include <unistd.h>
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "atpg/podem.h"
@@ -187,12 +189,19 @@ void AppendBenchJson(const std::string& path, const BenchRecord& record) {
   }
 }
 
-int BenchThreads() {
-  const char* env = std::getenv("GPUSTL_BENCH_THREADS");
-  if (env == nullptr || *env == '\0') return 1;
-  const int threads = std::atoi(env);
-  return threads < 0 ? 1 : threads;
+int EnvInt(const char* name, int def, int min_value) {
+  const char* env = std::getenv(name);
+  if (env == nullptr || *env == '\0') return def;
+  const std::optional<std::int64_t> v = ParseInt(env);
+  if (!v || *v < min_value || *v > INT_MAX) {
+    std::fprintf(stderr, "%s: expected an integer >= %d, got '%s'\n", name,
+                 min_value, env);
+    std::exit(2);
+  }
+  return static_cast<int>(*v);
 }
+
+int BenchThreads() { return EnvInt("GPUSTL_BENCH_THREADS", 1, 0); }
 
 compact::CompactorOptions BenchCompactorOptions() {
   compact::CompactorOptions options;

@@ -48,6 +48,12 @@ struct StlFixture {
 /// Deterministic; prints progress to stderr when `verbose`.
 StlFixture BuildFixture(const StlScale& scale = {}, bool verbose = true);
 
+/// Integer environment variable `name`: `def` when unset or empty,
+/// otherwise its value, which must parse as an integer (ParseInt) no
+/// smaller than `min_value`. A bad value is a usage error: the bench
+/// prints a message naming the variable and exits 2.
+int EnvInt(const char* name, int def, int min_value);
+
 /// Fault-sim worker threads for the table benches, from the
 /// GPUSTL_BENCH_THREADS environment variable (default 1 = serial;
 /// 0 = all cores). The parallel engine is bit-identical to serial, so the

@@ -11,9 +11,10 @@
 // units the workers (vs the coordinator inline) computed, steal count, and
 // the final campaign's phase-2 replay share.
 //
-// Knobs (environment):
+// Knobs (environment; a malformed number exits 2):
 //   GPUSTL_BENCH_DISTRIB_SBS   Small Blocks per generated PTP (default 24)
 //   GPUSTL_BENCH_DISTRIB_DIR   scratch root (default "bench_distrib_scratch")
+//   GPUSTL_BENCH_THREADS       in-process fault-sim threads (default 1)
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -38,13 +39,6 @@
 namespace gpustl::bench {
 namespace {
 
-int EnvInt(const char* name, int def) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || v[0] == '\0') return def;
-  const int parsed = std::atoi(v);
-  return parsed > 0 ? parsed : def;
-}
-
 compact::PlanEntry MakeEntry(isa::Program ptp, trace::TargetModule target,
                              bool compactable, bool reverse) {
   compact::PlanEntry pe;
@@ -68,7 +62,7 @@ struct RunResult {
 }  // namespace
 
 int Main() {
-  const int sbs = EnvInt("GPUSTL_BENCH_DISTRIB_SBS", 24);
+  const int sbs = EnvInt("GPUSTL_BENCH_DISTRIB_SBS", 24, 1);
   const char* scratch_env = std::getenv("GPUSTL_BENCH_DISTRIB_DIR");
   const std::string scratch = scratch_env != nullptr && scratch_env[0] != '\0'
                                   ? scratch_env
@@ -133,7 +127,12 @@ int Main() {
     store::ResultStore store(cache_dir);
 
     compact::CompactorOptions opt;
-    opt.num_threads = 1;  // scale via workers, keep the parent fork-safe
+    // Workers run one thread each: the fleet scales by worker count. The
+    // in-process fault sims (the baseline, the coordinator's plan-phase
+    // replays and the final campaign's) take GPUSTL_BENCH_THREADS (default
+    // 1); their pools join before returning, so no thread is alive when
+    // the coordinator forks.
+    opt.num_threads = BenchThreads();
     opt.result_store = &store;
     // Trim off — uniformly, baseline and workers alike (results are
     // bit-identical either way). This is the regime distribution exists

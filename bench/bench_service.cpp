@@ -28,13 +28,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-int EnvInt(const char* name, int def) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || v[0] == '\0') return def;
-  const int parsed = std::atoi(v);
-  return parsed > 0 ? parsed : def;
-}
-
 /// K distinct tiny PTPs: same shape, different immediates, so the result
 /// store sees K distinct fault-sim keys. Jobs cycling through them model
 /// the hot/cold mix of a real fleet (first submission of a variant is
@@ -55,8 +48,8 @@ std::string VariantAsm(int variant) {
 }
 
 int Main() {
-  const int jobs = EnvInt("GPUSTL_BENCH_SERVICE_JOBS", 1000);
-  const int workers = EnvInt("GPUSTL_BENCH_SERVICE_WORKERS", 4);
+  const int jobs = EnvInt("GPUSTL_BENCH_SERVICE_JOBS", 1000, 1);
+  const int workers = EnvInt("GPUSTL_BENCH_SERVICE_WORKERS", 4, 1);
   const int threads = BenchThreads();
   constexpr int kVariants = 6;
   const char* tenants[] = {"t0", "t1", "t2", "t3"};

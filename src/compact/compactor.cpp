@@ -148,7 +148,7 @@ Compactor::TraceRun Compactor::RunLogicTrace(const Program& ptp) const {
 
 fault::FaultSimResult Compactor::SimulateFaults(
     const netlist::PatternSet& patterns, const BitVec* skip,
-    bool drop_detected) const {
+    bool drop_detected, std::optional<fault::FaultSimResult>* full_out) const {
   const fault::FaultSimOptions sim_options{
       .drop_detected = drop_detected,
       .num_threads = options_.num_threads,
@@ -168,22 +168,21 @@ fault::FaultSimResult Compactor::SimulateFaults(
   // other shapes (no-drop, transition, no skip) take the normal path.
   if (options_.distrib_replay && skip != nullptr && drop_detected &&
       options_.fault_model == FaultModel::kStuckAt) {
-    const fault::FaultSimResult full = store::SimulateWithStore(
+    fault::FaultSimResult full = store::SimulateWithStore(
         options_.result_store, *module_, patterns, prep_->faults,
         /*skip=*/nullptr, sim_options, model, &prep_->faults_fp);
     // Good blocks come from the warm-start cache when that trim mechanism
     // is on (the full run just populated it); otherwise a private cache —
     // replay must not quietly depend on the trim layer.
-    if (fault::EffectiveTrim(options_.trim).warm_start &&
-        warm_cache_ != nullptr) {
-      const fault::WarmStartCache::Shared shared =
-          warm_cache_->Acquire(*module_, patterns, trim_counters_.get());
-      return fault::ReplaySkipFromFull(*module_, prep_->faults, full, *skip,
-                                       *shared.good);
-    }
-    fault::GoodBlockCache good_blocks(*module_, patterns);
-    return fault::ReplaySkipFromFull(*module_, prep_->faults, full, *skip,
-                                     good_blocks);
+    const std::shared_ptr<fault::GoodBlockCache> good_blocks =
+        fault::EffectiveTrim(options_.trim).warm_start && warm_cache_ != nullptr
+            ? warm_cache_->Acquire(*module_, patterns, trim_counters_.get())
+                  .good
+            : std::make_shared<fault::GoodBlockCache>(*module_, patterns);
+    fault::FaultSimResult replayed = fault::ReplaySkipFromFull(
+        *module_, prep_->faults, full, *skip, *good_blocks, sim_options);
+    if (full_out != nullptr) *full_out = std::move(full);
+    return replayed;
   }
   return store::SimulateWithStore(options_.result_store, *module_, patterns,
                                   prep_->faults, skip, sim_options, model,
@@ -213,9 +212,13 @@ CompactionResult Compactor::CompactPtp(const Program& ptp) {
   });
 
   // Stage 3: one optimized fault simulation, then labeling.
+  // Under distrib_replay the stage-3 and validation runs read the
+  // full-list results of their patterns; those ARE the standalone
+  // measurements below, so they are kept instead of fetched again.
+  std::optional<FaultSimResult> full_before;
   guard.Run(kStageFaultSim, [&] {
-    res.fault_report =
-        SimulateFaults(patterns, &detected_, options_.drop_within_ptp);
+    res.fault_report = SimulateFaults(patterns, &detected_,
+                                      options_.drop_within_ptp, &full_before);
   });
   guard.Run(kStageLabel, [&] {
     res.labels = LabelInstructions(ptp, original_run.tracing, patterns,
@@ -236,8 +239,9 @@ CompactionResult Compactor::CompactPtp(const Program& ptp) {
     const PatternSet compacted_patterns =
         options_.reverse_patterns ? compacted_run.patterns.Reversed()
                                   : compacted_run.patterns;
+    std::optional<FaultSimResult> full_after;
     const FaultSimResult validation =
-        SimulateFaults(compacted_patterns, &detected_, true);
+        SimulateFaults(compacted_patterns, &detected_, true, &full_after);
 
     res.compaction_seconds = timer.Seconds();
 
@@ -247,9 +251,11 @@ CompactionResult Compactor::CompactPtp(const Program& ptp) {
     // instructions removed as unessential (because TPGEN already detected
     // their faults in the dropped flow) did detect faults standalone.
     const fault::FaultSimResult standalone_before =
-        SimulateFaults(patterns, nullptr, true);
+        full_before ? std::move(*full_before)
+                    : SimulateFaults(patterns, nullptr, true);
     const fault::FaultSimResult standalone_after =
-        SimulateFaults(compacted_patterns, nullptr, true);
+        full_after ? std::move(*full_after)
+                   : SimulateFaults(compacted_patterns, nullptr, true);
     res.validation_detections = validation.num_detected;
 
     res.original.size_instr = ptp.size();

@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/bitops.h"
@@ -282,10 +283,14 @@ class Compactor {
   };
   TraceRun RunLogicTrace(const isa::Program& ptp) const;
 
-  /// Stage-3/5 fault simulation under the configured fault model.
-  fault::FaultSimResult SimulateFaults(const netlist::PatternSet& patterns,
-                                       const BitVec* skip,
-                                       bool drop_detected) const;
+  /// Stage-3/5 fault simulation under the configured fault model. When the
+  /// result is replayed from a full-fault-list result (distrib_replay) and
+  /// `full_out` is given, that full result — what the same call with
+  /// skip = null returns — is moved into it; otherwise it is left empty.
+  fault::FaultSimResult SimulateFaults(
+      const netlist::PatternSet& patterns, const BitVec* skip,
+      bool drop_detected,
+      std::optional<fault::FaultSimResult>* full_out = nullptr) const;
 
   /// The token fault simulations poll and stage guards arm: the external
   /// one when provided, else the compactor's own when a stage deadline is

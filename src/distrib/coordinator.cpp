@@ -9,6 +9,7 @@
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <set>
 #include <thread>
 
@@ -307,23 +308,21 @@ PrefetchStats Coordinator::Prefetch(
           pe.entry.reverse_patterns ? probe.patterns().Reversed()
                                     : probe.patterns();
 
+      const fault::FaultSimOptions sim_options =
+          FullSimOptions(base_, *ts.prep);
       const fault::FaultSimResult full = store::SimulateWithStore(
           base_.result_store, *ts.nl, patterns, ts.prep->faults,
-          /*skip=*/nullptr, FullSimOptions(base_, *ts.prep),
-          store::SimModel::kStuckAt, &ts.prep->faults_fp);
+          /*skip=*/nullptr, sim_options, store::SimModel::kStuckAt,
+          &ts.prep->faults_fp);
 
-      fault::FaultSimResult replayed;
-      if (fault::EffectiveTrim(base_.trim).warm_start &&
-          base_.warm_cache != nullptr) {
-        const fault::WarmStartCache::Shared shared =
-            base_.warm_cache->Acquire(*ts.nl, patterns, nullptr);
-        replayed = fault::ReplaySkipFromFull(*ts.nl, ts.prep->faults, full,
-                                             ts.detected, *shared.good);
-      } else {
-        fault::GoodBlockCache good_blocks(*ts.nl, patterns);
-        replayed = fault::ReplaySkipFromFull(*ts.nl, ts.prep->faults, full,
-                                             ts.detected, good_blocks);
-      }
+      const std::shared_ptr<fault::GoodBlockCache> good_blocks =
+          fault::EffectiveTrim(base_.trim).warm_start &&
+                  base_.warm_cache != nullptr
+              ? base_.warm_cache->Acquire(*ts.nl, patterns, nullptr).good
+              : std::make_shared<fault::GoodBlockCache>(*ts.nl, patterns);
+      const fault::FaultSimResult replayed = fault::ReplaySkipFromFull(
+          *ts.nl, ts.prep->faults, full, ts.detected, *good_blocks,
+          sim_options);
 
       const std::vector<bool> labels = compact::LabelInstructions(
           ptp, recorder.report(), patterns, replayed);

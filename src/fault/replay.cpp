@@ -1,7 +1,10 @@
 #include "fault/replay.h"
 
+#include <algorithm>
+
 #include "common/bitops.h"
 #include "common/error.h"
+#include "fault/wide.h"
 
 namespace gpustl::fault {
 
@@ -14,11 +17,15 @@ FaultSimResult ReplaySkipFromFull(const netlist::Netlist& nl,
                                   const std::vector<Fault>& faults,
                                   const FaultSimResult& full,
                                   const BitVec& skip,
-                                  GoodBlockCache& good_blocks) {
+                                  GoodBlockCache& good_blocks,
+                                  const FaultSimOptions& options) {
+  using W = internal::Wide<1>;
   const std::size_t num_faults = faults.size();
   const std::size_t num_patterns = full.detects_per_pattern.size();
+  const std::size_t num_blocks = (num_patterns + 63) / 64;
   if (full.first_detect.size() != num_faults || skip.size() != num_faults ||
-      full.activates_per_pattern.size() != num_patterns) {
+      full.activates_per_pattern.size() != num_patterns ||
+      good_blocks.num_blocks() != num_blocks) {
     throw Error("replay: full-result shape does not match the fault list");
   }
 
@@ -45,6 +52,9 @@ FaultSimResult ReplaySkipFromFull(const netlist::Netlist& nl,
     lf.stuck = fault.sa1 ? ~0ull : 0ull;
     const std::uint32_t fd = full.first_detect[f];
     if (fd != FaultSimResult::kNotDetected) {
+      if (fd >= num_patterns) {
+        throw Error("replay: full-result first detection past the patterns");
+      }
       // Detection accounting is skip-independent (see replay.h): scatter
       // the full run's first_detect and count one first detection per
       // surviving fault at that pattern (the engine adds the class member
@@ -63,32 +73,45 @@ FaultSimResult ReplaySkipFromFull(const netlist::Netlist& nl,
   ReplayCounters& counters = GlobalReplayCounters();
   counters.replays.fetch_add(1, std::memory_order_relaxed);
   counters.replayed_faults.fetch_add(live.size(), std::memory_order_relaxed);
+  if (live.empty()) return result;
 
-  const std::size_t num_blocks = (num_patterns + 63) / 64;
-  for (std::size_t bi = 0; bi < num_blocks; ++bi) {
-    if (live.empty()) break;
-    const GoodBlockCache::Block& block = good_blocks.Get(bi);
-    if (block.count == 0) break;
-    const std::uint64_t valid =
-        block.count >= 64 ? ~0ull : ((1ull << block.count) - 1);
-    const std::uint64_t* good = block.values.data();
-    const std::size_t base = bi * 64;
+  // Latest drop first: the faults live in block bi (det_block >= bi) are
+  // then a prefix of `live` that only shrinks as bi grows. Nothing is live
+  // after the latest detection block, so later good blocks are never built.
+  std::stable_sort(live.begin(), live.end(),
+                   [](const LiveFault& a, const LiveFault& b) {
+                     return a.det_block > b.det_block;
+                   });
+  const std::size_t active_blocks = std::min<std::size_t>(
+      num_blocks, std::size_t{live.front().det_block} + 1);
 
-    std::size_t w = 0;  // compaction write index, as in the engine's loop
-    for (const LiveFault& lf : live) {
-      const std::uint64_t act = (good[lf.site] ^ lf.stuck) & valid;
-      for (std::uint64_t bits = act; bits != 0; bits &= bits - 1) {
-        result.activates_per_pattern[base +
-                                     static_cast<std::size_t>(
-                                         LowestSetBit(bits))]++;
+  // Block bi's activation slice is written by exactly one shard (blocks are
+  // strided over shards), so no merge is needed and the result does not
+  // depend on the thread count.
+  const int threads = ResolveNumThreads(options.num_threads, active_blocks);
+  const auto shard = [&](int t) {
+    internal::WideCounterPlanes<1> planes;
+    std::size_t n = live.size();
+    for (std::size_t bi = static_cast<std::size_t>(t); bi < active_blocks;
+         bi += static_cast<std::size_t>(threads)) {
+      if (options.cancel != nullptr && options.cancel->Expired()) return;
+      while (n > 0 && live[n - 1].det_block < bi) --n;
+      const GoodBlockCache::Block& block = good_blocks.Get(bi);
+      const std::uint64_t valid =
+          block.count >= 64 ? ~0ull : ((1ull << block.count) - 1);
+      const std::uint64_t* good = block.values.data();
+      for (std::size_t i = 0; i < n; ++i) {
+        planes.Add(W{{(good[live[i].site] ^ live[i].stuck) & valid}});
       }
-      // Drop AFTER this block's activation when this is the detection
-      // block; a fault's det_block can never be < bi (it was dropped then).
-      if (lf.det_block != bi) live[w++] = lf;
+      planes.ExpandInto(&result.activates_per_pattern[bi * 64]);
     }
-    live.resize(w);
+  };
+  if (threads <= 1) {
+    shard(0);
+  } else {
+    RunOnShards(threads, shard);
   }
-
+  AbortIfCancelled(options);
   return result;
 }
 

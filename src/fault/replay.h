@@ -27,10 +27,32 @@
 //    only the good-machine values, which GoodBlockCache provides from one
 //    logic simulation, never a propagation.
 //
+// The activation pass is the whole cost of a replay, and it is computed
+// the way the engine computes its own histograms, sharded and bit-sliced,
+// with no loss of exactness:
+//
+//  * Sharded by 64-pattern block. Block bi's slice of
+//    `activates_per_pattern` depends only on block bi's good values and on
+//    the set of faults live in it (det_block >= bi), never on another
+//    block. Blocks are strided over the RunOnShards pool, so each slice is
+//    written by exactly one shard: there is nothing to merge, and the
+//    result is the same for every thread count and interleaving.
+//  * Bit-sliced. Each live fault's activation word is added into the
+//    engine's WideCounterPlanes (fault/wide.h), a carry-save vertical
+//    counter, and expanded into the slice once per block. The planes
+//    compute the exact integer sum of the per-fault indicator words; only
+//    the association order differs, and integer addition is associative.
+//  * Bounded. Live faults are ordered by detection block, latest first, so
+//    the faults live in block bi are a prefix of the list. After the
+//    latest detection block of any unskipped fault (the last block when
+//    one never drops) nothing is live: those blocks contribute zero and
+//    their good values are never simulated.
+//
 // Preconditions (checked): the full result was computed with skip = null
-// and drop_detected = true over the same fault list, stuck-at model. The
-// tests in tests/test_distrib.cpp hold the replay to bit-identity against
-// RunFaultSim for real skip masks across modules and engine toggles.
+// and drop_detected = true over the same fault list and patterns, stuck-at
+// model. tests/test_reference.cpp holds the replay to bit-identity against
+// the reference simulator (tests/reference_sim.h) across pattern counts,
+// masks and thread counts; tests/test_distrib.cpp against the live engine.
 #pragma once
 
 #include <atomic>
@@ -52,15 +74,22 @@ ReplayCounters& GlobalReplayCounters();
 
 /// Derives the result of `RunFaultSim(nl, patterns, faults, &skip,
 /// {drop_detected = true, ...})` from `full`, the result of the same run
-/// with skip = null. Bit-identical to the live engine for every engine
-/// toggle (threads, collapse, trim) — those are already bit-identical to
-/// each other, and the replay reproduces the canonical accounting
-/// directly. Throws Error on shape mismatch between
-/// `full`, `faults` and `skip` (a misuse, never a data-dependent state).
+/// with skip = null, and `good_blocks` over the same (nl, patterns).
+/// Bit-identical to the live engine for every engine toggle (threads,
+/// collapse, trim) — those are already bit-identical to each other, and
+/// the replay reproduces the canonical accounting directly.
+///
+/// Of `options` only `num_threads` (the activation pass's shard count,
+/// resolved like the engine's) and `cancel` are read. An expired token
+/// stops every shard at its next block and throws DeadlineError after the
+/// join; a partial result is never returned. Throws Error on shape
+/// mismatch between `full`, `faults`, `skip` and `good_blocks` (a misuse,
+/// never a data-dependent state).
 FaultSimResult ReplaySkipFromFull(const netlist::Netlist& nl,
                                   const std::vector<Fault>& faults,
                                   const FaultSimResult& full,
                                   const BitVec& skip,
-                                  GoodBlockCache& good_blocks);
+                                  GoodBlockCache& good_blocks,
+                                  const FaultSimOptions& options = {});
 
 }  // namespace gpustl::fault

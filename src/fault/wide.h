@@ -5,12 +5,16 @@
 // earliest pattern. The bundle is an aligned structure-of-lanes with only
 // lane-wise bitwise operators — exactly the operations cell evaluation,
 // activation, observability and detection masks need — written as
-// fixed-trip lane loops the compiler vectorizes at -O3.
+// fixed-trip lane loops the compiler vectorizes at -O3. WideCounterPlanes
+// is the bit-sliced per-pattern counter both the engine and the skip-mask
+// replay (fault/replay.cpp) accumulate their histograms with.
 //
-// Internal header — include from src/fault/engine_wide.h only.
+// Internal header — include from src/fault/engine_wide.h and
+// src/fault/replay.cpp only.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "common/bitops.h"
 #include "netlist/cell.h"
@@ -127,6 +131,49 @@ struct alignas(sizeof(std::uint64_t) * L) Wide {
         fn(64 * k + LowestSetBit(bits));
       }
     }
+  }
+};
+
+/// Carry-save per-pattern counter: accumulates {0,1}-valued bundles (and
+/// small integer weights) into bit-plane vertical counters, so the
+/// per-pattern histograms cost O(log n) bundle ops per contribution instead
+/// of one counter increment per SET BIT. The per-bit expansion happens once
+/// per plane per block — per-bit accounting is the one width-independent
+/// cost in the engine (a 64-bit and a 256-bit word walk the same set bits),
+/// so without this the histograms cap the SIMD speedup well below the
+/// propagation win (Amdahl). The sums are exact; only the association
+/// order changes, and integer addition is associative. The same holds for
+/// the replay's activation pass, which is nothing BUT this accounting.
+template <int L>
+struct WideCounterPlanes {
+  std::vector<Wide<L>> planes;  // planes[j] bit p set => p contributes 2^j
+  /// Adds 2^plane0 per set bit of `w` (ripple-carry into higher planes).
+  void Add(Wide<L> w, std::size_t plane0 = 0) {
+    if (w.IsZero()) return;
+    if (planes.size() < plane0) planes.resize(plane0, Wide<L>::Zeros());
+    for (std::size_t j = plane0; j < planes.size(); ++j) {
+      const Wide<L> carry = planes[j] & w;
+      planes[j] ^= w;
+      if (carry.IsZero()) return;
+      w = carry;
+    }
+    planes.push_back(w);
+  }
+  /// Adds `weight` per set bit of `w` (one Add per set bit of the weight).
+  void AddWeighted(const Wide<L>& w, std::uint32_t weight) {
+    for (std::size_t j = 0; weight != 0; ++j, weight >>= 1) {
+      if (weight & 1u) Add(w, j);
+    }
+  }
+  /// Flushes the accumulated counts into `counts` and resets the planes.
+  void ExpandInto(std::uint32_t* counts) {
+    for (std::size_t j = 0; j < planes.size(); ++j) {
+      const std::uint32_t unit = 1u << j;
+      planes[j].ForEachSetBit([&](int p) {
+        counts[static_cast<std::size_t>(p)] += unit;
+      });
+    }
+    planes.clear();
   }
 };
 

@@ -168,6 +168,20 @@ TEST(ReplayTest, ShapeMismatchThrowsNeverGuesses) {
   const BitVec wrong_size(faults.size() + 1, false);
   EXPECT_THROW(fault::ReplaySkipFromFull(du, faults, full, wrong_size, good),
                Error);
+
+  // Good blocks of other patterns, and a first detection past the
+  // patterns (a store entry is read from disk), are refused too.
+  const BitVec skip(faults.size(), false);
+  const netlist::PatternSet other = TracedPatterns(
+      stl::GenerateImm(30, 11), trace::TargetModule::kDecoderUnit);
+  ASSERT_NE((other.size() + 63) / 64, (patterns.size() + 63) / 64);
+  fault::GoodBlockCache other_good(du, other);
+  EXPECT_THROW(fault::ReplaySkipFromFull(du, faults, full, skip, other_good),
+               Error);
+  fault::FaultSimResult past_end = full;
+  past_end.first_detect[0] = static_cast<std::uint32_t>(patterns.size());
+  EXPECT_THROW(fault::ReplaySkipFromFull(du, faults, past_end, skip, good),
+               Error);
 }
 
 // --- Work-unit codec --------------------------------------------------------

@@ -10,8 +10,14 @@
 // launch carry across lanes). A seeded differential fuzzer closes the gaps
 // the enumerated matrix misses; failures print the seed to reproduce.
 //
-// This suite carries the ctest labels `tsan` (the engine shards over the
-// worker pool and shares good-machine bundles read-only) and `oracle`.
+// The skip-mask replay (fault/replay.h) is held to the same oracle: a
+// replay over the reference's full-list result must equal the reference's
+// skip-masked result, for every mask shape and thread count, including a
+// mask whose faults all drop in block 0 (the replay's last-block bound).
+//
+// This suite carries the ctest labels `tsan` (the engine and the replay
+// shard over the worker pool and share good-machine blocks read-only) and
+// `oracle`.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -22,11 +28,17 @@
 #include "circuits/sfu.h"
 #include "circuits/sp_core.h"
 #include "common/rng.h"
+#include "common/status.h"
 #include "fault/fault.h"
 #include "fault/faultsim.h"
+#include "fault/parallel.h"
+#include "fault/replay.h"
 #include "fault/transition.h"
+#include "gpu/sm.h"
 #include "netlist/netlist.h"
 #include "netlist/patterns.h"
+#include "stl/generators.h"
+#include "trace/trace.h"
 #include "tests/fault_test_util.h"
 #include "tests/reference_sim.h"
 
@@ -231,6 +243,115 @@ TEST(EngineFuzz, RandomTriplesMatchReference) {
           RunFaultSim(nl, pats, faults, &skip, opt), "stuck-at");
     }
   }
+}
+
+// --- Skip-mask replay ---
+
+/// The mask shapes the replay suite checks, named: empty (a campaign's
+/// first entry), all skipped, every third fault, half of the detected
+/// faults (a late entry), and every fault not detected in block 0 — then
+/// every live fault drops in block 0, so the replay's activation pass ends
+/// there.
+std::vector<std::pair<std::string, BitVec>> ReplayMasks(
+    const FaultSimResult& full) {
+  const std::size_t n = full.first_detect.size();
+  BitVec every_third(n, false);
+  BitVec half_detected(n, false);
+  BitVec block0_only(n, true);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i % 3 == 0) every_third.Set(i, true);
+    if (full.detected_mask.Get(i) && i % 2 == 0) half_detected.Set(i, true);
+    if (full.first_detect[i] < 64) block0_only.Set(i, false);
+  }
+  return {{"empty", BitVec(n, false)},
+          {"all-skipped", BitVec(n, true)},
+          {"every-third", every_third},
+          {"half-detected", half_detected},
+          {"block0-only", block0_only}};
+}
+
+/// Replays every mask of ReplayMasks at threads 1/2/5, each over a fresh
+/// good-block cache (so the lazy block builds run under the shards), and
+/// holds each result to the reference's skip-masked run.
+void ExpectReplayMatchesReference(const Netlist& nl, const PatternSet& pats,
+                                  const std::vector<Fault>& faults,
+                                  const std::string& what) {
+  const FaultSimResult full =
+      ReferenceFaultSim(nl, pats, faults, nullptr, /*drop_detected=*/true);
+  for (const auto& [name, skip] : ReplayMasks(full)) {
+    const FaultSimResult want =
+        ReferenceFaultSim(nl, pats, faults, &skip, /*drop_detected=*/true);
+    for (const int threads : {1, 2, 5}) {
+      FaultSimOptions options;
+      options.num_threads = threads;
+      GoodBlockCache good(nl, pats);
+      ExpectIdentical(
+          want, ReplaySkipFromFull(nl, faults, full, skip, good, options),
+          what + " mask=" + name + " threads=" + std::to_string(threads));
+    }
+  }
+}
+
+TEST(ReplayVsReference, RandomNetlistsAtBlockEdges) {
+  Rng rng(0xBEC5);
+  for (const int count : {1, 63, 64, 65, 127, 128, 129, 513}) {
+    const int inputs = 4 + static_cast<int>(rng.below(12));
+    const Netlist nl =
+        RandomNetlist(rng, inputs, 20 + static_cast<int>(rng.below(120)));
+    const PatternSet pats = RandomPatterns(rng, inputs, count);
+    for (const auto& faults : {EnumerateFaults(nl), CollapsedFaultList(nl)}) {
+      ExpectReplayMatchesReference(nl, pats, faults,
+                                   "count=" + std::to_string(count));
+    }
+  }
+}
+
+TEST(ReplayVsReference, TracedSpProgram) {
+  // Real captured patterns on a real module. The reference is per fault,
+  // so the replay's fault list is a fixed sample of the SP list — any
+  // fault list is a valid replay input.
+  const Netlist sp = circuits::BuildSpCore();
+  trace::PatternProbe probe(trace::TargetModule::kSpCore);
+  gpu::Sm sm;
+  sm.AddMonitor(&probe);
+  sm.Run(stl::GenerateRand(2, 5));
+  const PatternSet& pats = probe.patterns();
+  ASSERT_GT(pats.size(), 64u);
+  const std::vector<Fault> all = CollapsedFaultList(sp);
+  const BitVec sample = SampleMask(all.size(), 600);
+  std::vector<Fault> faults;
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    if (!sample.Get(i)) faults.push_back(all[i]);
+  }
+  ExpectReplayMatchesReference(sp, pats, faults,
+                               "SP patterns=" + std::to_string(pats.size()));
+}
+
+TEST(ReplayVsReference, ExpiredTokenThrowsDeadlineNeverPartial) {
+  Rng rng(0xBEC6);
+  const Netlist nl = RandomNetlist(rng, 10, 80);
+  const PatternSet pats = RandomPatterns(rng, 10, 513);
+  const auto faults = EnumerateFaults(nl);
+  const FaultSimResult full =
+      ReferenceFaultSim(nl, pats, faults, nullptr, /*drop_detected=*/true);
+  const BitVec skip(faults.size(), false);
+
+  CancelToken token;
+  token.ArmDeadline(1e-12);  // expires immediately
+  FaultSimOptions options;
+  options.cancel = &token;
+  for (const int threads : {1, 4}) {
+    options.num_threads = threads;
+    GoodBlockCache good(nl, pats);
+    EXPECT_THROW(ReplaySkipFromFull(nl, faults, full, skip, good, options),
+                 DeadlineError)
+        << "threads=" << threads;
+  }
+  token.DisarmDeadline();
+  GoodBlockCache good(nl, pats);
+  ExpectIdentical(full,
+                  ReplaySkipFromFull(nl, faults, full, skip, good, options),
+                  "disarmed token");
 }
 
 }  // namespace
