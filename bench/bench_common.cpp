@@ -25,6 +25,9 @@
 namespace gpustl::bench {
 
 StlFixture BuildFixture(const StlScale& scale, bool verbose) {
+  // Every table bench reads GPUSTL_BENCH_THREADS after the fixture; check
+  // it first, so a malformed value exits 2 before the ATPG runs.
+  BenchThreads();
   Timer timer;
   auto log = [&](const char* what) {
     if (verbose) {

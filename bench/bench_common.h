@@ -45,7 +45,8 @@ struct StlFixture {
 };
 
 /// Builds everything (modules, pseudorandom PTPs, ATPG-derived PTPs).
-/// Deterministic; prints progress to stderr when `verbose`.
+/// Deterministic; prints progress to stderr when `verbose`. Validates
+/// GPUSTL_BENCH_THREADS (BenchThreads) before any work.
 StlFixture BuildFixture(const StlScale& scale = {}, bool verbose = true);
 
 /// Integer environment variable `name`: `def` when unset or empty,

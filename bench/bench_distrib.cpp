@@ -145,7 +145,6 @@ int Main() {
     RunResult out;
     Timer wall;
     if (workers >= 0) {
-      opt.distrib_replay = true;
       distrib::CoordinatorOptions copt;
       copt.dir = scratch + "/" + tag + "-distrib";
       copt.fork_workers = workers;

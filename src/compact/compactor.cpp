@@ -161,12 +161,15 @@ fault::FaultSimResult Compactor::SimulateFaults(
   const store::SimModel model = options_.fault_model == FaultModel::kTransition
                                     ? store::SimModel::kTransition
                                     : store::SimModel::kStuckAt;
-  // Distributed replay (fault/replay.h): a dropped stuck-at run with a
-  // skip mask is derived from the full-list result — a store hit when the
-  // two-phase schedule prefetched it, a live run (cached for the next
-  // asker) otherwise — plus one pass over the good-machine blocks. Exact;
-  // other shapes (no-drop, transition, no skip) take the normal path.
-  if (options_.distrib_replay && skip != nullptr && drop_detected &&
+  // Skip-mask replay (fault/replay.h): every dropped stuck-at run with a
+  // skip mask is derived from the full-list result of the same patterns —
+  // a store hit when the distributed schedule or an earlier campaign put
+  // it there, a live run (cached for the next asker) otherwise — plus one
+  // pass over the good-machine blocks. The full-list run is the standalone
+  // measurement CompactPtp needs anyway, so a compacted PTP propagates
+  // twice, not four times. Exact; other shapes (no-drop, transition, no
+  // skip) take the live engine.
+  if (skip != nullptr && drop_detected &&
       options_.fault_model == FaultModel::kStuckAt) {
     fault::FaultSimResult full = store::SimulateWithStore(
         options_.result_store, *module_, patterns, prep_->faults,
@@ -212,9 +215,9 @@ CompactionResult Compactor::CompactPtp(const Program& ptp) {
   });
 
   // Stage 3: one optimized fault simulation, then labeling.
-  // Under distrib_replay the stage-3 and validation runs read the
-  // full-list results of their patterns; those ARE the standalone
-  // measurements below, so they are kept instead of fetched again.
+  // The stage-3 and validation runs are replayed from the full-list
+  // results of their patterns; those ARE the standalone measurements
+  // below, so they are kept instead of fetched again.
   std::optional<FaultSimResult> full_before;
   guard.Run(kStageFaultSim, [&] {
     res.fault_report = SimulateFaults(patterns, &detected_,

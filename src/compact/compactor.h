@@ -166,17 +166,11 @@ struct CompactorOptions {
   /// from the store without perturbing any table.
   store::ResultStore* result_store = nullptr;
 
-  /// Derive skip-masked fault-sim results (the cross-PTP dropped stage-3 /
-  /// validation runs) by replaying the drop order over the FULL-fault-list
-  /// result of the same patterns instead of resimulating (fault/replay.h).
-  /// The full result is fetched through `result_store` when one is
-  /// configured — the distributed two-phase schedule (src/distrib/)
-  /// publishes exactly those entries, so phase-2 coordinators do no
-  /// sequential propagation at all — and computed live (then cached) on a
-  /// miss, so the option is safe without workers too. Replay is exact and
-  /// applies to dropped stuck-at runs (the only shape campaigns issue);
-  /// any other shape falls back to the live engine. Reports are
-  /// byte-identical with the option on or off.
+  /// No-op, kept only so existing callers still compile; the next change
+  /// to the benchmark sources deletes it. Every dropped stuck-at run with
+  /// a skip mask (the cross-PTP dropped stage-3 / validation runs) is now
+  /// always replayed from the full-fault-list result of the same patterns
+  /// (fault/replay.h), whatever this field says.
   bool distrib_replay = false;
 
   /// Wall-clock budget per pipeline stage (logic trace, fault sim, label,
@@ -283,10 +277,13 @@ class Compactor {
   };
   TraceRun RunLogicTrace(const isa::Program& ptp) const;
 
-  /// Stage-3/5 fault simulation under the configured fault model. When the
-  /// result is replayed from a full-fault-list result (distrib_replay) and
-  /// `full_out` is given, that full result — what the same call with
-  /// skip = null returns — is moved into it; otherwise it is left empty.
+  /// Stage-3/5 fault simulation under the configured fault model. A
+  /// dropped stuck-at run with a skip mask is replayed from the
+  /// full-fault-list result of the same patterns, read through
+  /// `result_store` when one is configured and computed live (then cached)
+  /// on a miss. When that happens and `full_out` is given, the full result
+  /// — what the same call with skip = null returns — is moved into it;
+  /// otherwise it is left empty.
   fault::FaultSimResult SimulateFaults(
       const netlist::PatternSet& patterns, const BitVec* skip,
       bool drop_detected,

@@ -282,7 +282,7 @@ PrefetchStats Coordinator::Prefetch(
 
   // Phase `plan`: replay the sequential drop order over the wave-1 results
   // and derive each compacted PTP — the exact computation the final
-  // campaign will repeat (Compactor stages 1..4 with distrib_replay), so
+  // campaign will repeat (Compactor stages 1..4, replay included), so
   // the wave-2 units below are precisely the simulations it will ask for.
   Timer plan_timer;
   std::set<std::string> wave2;

@@ -16,10 +16,10 @@
 //           fault propagation), labels, reduces and reassembles each
 //           compacted PTP — cheap, single-process, exact.
 //   wave 2  the compacted PTPs' full-list simulations run on the workers.
-//   final   the caller runs the ordinary StlCampaign with
-//           CompactorOptions::distrib_replay set: every fault simulation it
-//           needs is now either a store hit (full-list runs) or a replay
-//           over one (skip-masked runs). Ground truth is still the
+//   final   the caller runs the ordinary StlCampaign: every fault
+//           simulation it needs is now either a store hit (full-list runs)
+//           or a replay over one (skip-masked runs, which the Compactor
+//           always derives by replay). Ground truth is still the
 //           campaign itself — if phase `plan` and the campaign ever
 //           disagreed, the campaign's own store-missing simulations would
 //           run live and win.

@@ -25,8 +25,25 @@ FaultSimResult ReplaySkipFromFull(const netlist::Netlist& nl,
   const std::size_t num_blocks = (num_patterns + 63) / 64;
   if (full.first_detect.size() != num_faults || skip.size() != num_faults ||
       full.activates_per_pattern.size() != num_patterns ||
+      full.detected_mask.size() != num_faults ||
       good_blocks.num_blocks() != num_blocks) {
     throw Error("replay: full-result shape does not match the fault list");
+  }
+  for (const std::uint32_t fd : full.first_detect) {
+    if (fd != FaultSimResult::kNotDetected && fd >= num_patterns) {
+      throw Error("replay: full-result first detection past the patterns");
+    }
+  }
+
+  ReplayCounters& counters = GlobalReplayCounters();
+  counters.replays.fetch_add(1, std::memory_order_relaxed);
+
+  // Nothing skipped: the dropped run with an empty mask excludes no fault,
+  // so it IS the full-list run. The first PTP on each module asks for this.
+  if (skip.FindFirstSet() == BitVec::npos) {
+    counters.replayed_faults.fetch_add(num_faults, std::memory_order_relaxed);
+    AbortIfCancelled(options);
+    return full;
   }
 
   FaultSimResult result = InitFaultSimResult(num_faults, num_patterns);
@@ -52,9 +69,6 @@ FaultSimResult ReplaySkipFromFull(const netlist::Netlist& nl,
     lf.stuck = fault.sa1 ? ~0ull : 0ull;
     const std::uint32_t fd = full.first_detect[f];
     if (fd != FaultSimResult::kNotDetected) {
-      if (fd >= num_patterns) {
-        throw Error("replay: full-result first detection past the patterns");
-      }
       // Detection accounting is skip-independent (see replay.h): scatter
       // the full run's first_detect and count one first detection per
       // surviving fault at that pattern (the engine adds the class member
@@ -70,8 +84,6 @@ FaultSimResult ReplaySkipFromFull(const netlist::Netlist& nl,
     live.push_back(lf);
   }
 
-  ReplayCounters& counters = GlobalReplayCounters();
-  counters.replays.fetch_add(1, std::memory_order_relaxed);
   counters.replayed_faults.fetch_add(live.size(), std::memory_order_relaxed);
   if (live.empty()) return result;
 

@@ -2,7 +2,11 @@
 // full-fault-list result of the same (netlist, patterns) without touching
 // the propagation engine.
 //
-// This is the reducer half of the distributed two-phase schedule
+// Every cross-PTP-dropped stuck-at run of the Compactor (stage 3,
+// validation, absorbed coverage) is derived this way, in every mode: the
+// full-list run it replays over is the standalone measurement the report
+// needs anyway, so a compacted PTP propagates twice instead of four times.
+// It is also the reducer half of the distributed two-phase schedule
 // (src/distrib/): phase 1 simulates every work unit against the FULL fault
 // list (skip = null) — those runs are independent, so workers execute them
 // in parallel with no ordering constraints — and phase 2 replays the
@@ -42,6 +46,10 @@
 //    counter, and expanded into the slice once per block. The planes
 //    compute the exact integer sum of the per-fault indicator words; only
 //    the association order differs, and integer addition is associative.
+//  * Empty mask. A mask with no set bit excludes nothing, so the result is
+//    the full result itself, returned as a copy after every input check
+//    (the first PTP on each module, and the coordinator's first plan
+//    entry per module, ask for exactly this).
 //  * Bounded. Live faults are ordered by detection block, latest first, so
 //    the faults live in block bi are a prefix of the list. After the
 //    latest detection block of any unskipped fault (the last block when

@@ -207,10 +207,9 @@ void CampaignService::RunJob(Job& job, int worker_index) {
 
     const bool distrib = !options_.distrib_dir.empty() && store_.has_value();
     if (distrib) {
-      // Replay mode is safe even if the prefetch below fails: a store miss
-      // just means that simulation runs live inside the replay's full-list
-      // step, and the replayed skip result is exact either way.
-      opt.distrib_replay = true;
+      // The prefetch is safe to lose: a store miss just means that
+      // simulation runs live inside the replay's full-list step, and the
+      // replayed skip result is exact either way.
       try {
         distrib::CoordinatorOptions copt;
         copt.dir = options_.distrib_dir;

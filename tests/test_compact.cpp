@@ -1,7 +1,12 @@
 // Compaction-stage unit tests: SB segmentation, the Fig. 2 labeling join,
 // the Fig. 3 reduction rule, data relocation, and Compactor invariants on
-// small controlled inputs.
+// small controlled inputs, and the store traffic of a cold campaign.
 #include <gtest/gtest.h>
+
+#include <filesystem>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "circuits/decoder_unit.h"
 #include "common/strutil.h"
@@ -14,6 +19,8 @@
 #include "isa/assembler.h"
 #include "isa/cfg.h"
 #include "stl/generators.h"
+#include "store/fingerprint.h"
+#include "store/result_store.h"
 
 namespace gpustl::compact {
 namespace {
@@ -418,6 +425,79 @@ TEST(StlCampaignRecords, ProcessReferencesSurviveReallocation) {
   EXPECT_EQ(&campaign.records().front(), first_addr);
   EXPECT_EQ(first.original_size, first_size);
   EXPECT_EQ(first.name, campaign.records().front().name);
+}
+
+TEST(StlCampaignStore, ColdStoreHoldsOnlyFullListRuns) {
+  // Every dropped stuck-at run with a skip mask (stage 3, validation) is
+  // replayed from the full-list run of the same patterns, so a cold
+  // campaign looks up exactly 2 full-list runs per compacted PTP (its
+  // original and compacted patterns) and 1 per carried PTP, writes one
+  // entry per distinct such run, and writes none keyed by a skip mask.
+  const netlist::Netlist du = circuits::BuildDecoderUnit();
+  const netlist::Netlist sp = circuits::BuildSpCore();
+  const netlist::Netlist sfu = circuits::BuildSfu();
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "gpustl_compact_cold";
+  std::filesystem::remove_all(dir);
+  store::ResultStore store(dir.string());
+  CompactorOptions base;
+  base.result_store = &store;
+  StlCampaign campaign(du, sp, sfu, base);
+
+  const std::vector<StlEntry> entries = {
+      {stl::GenerateImm(6, 21), TargetModule::kDecoderUnit, true, false},
+      {stl::GenerateMem(6, 22), TargetModule::kDecoderUnit, true, false},
+      {stl::GenerateRand(4, 23), TargetModule::kSpCore, true, false},
+      {stl::GenerateRand(6, 23), TargetModule::kSpCore, true, false},
+      {stl::GenerateCntrl(3, 24), TargetModule::kDecoderUnit, false, false},
+  };
+  std::map<std::string, store::StoreKey> full_keys;  // by hex: distinct
+  std::vector<store::StoreKey> skip_keys;
+  std::map<TargetModule, BitVec> dropped;  // OR of earlier detections
+  for (const StlEntry& entry : entries) {
+    const CampaignRecord& rec = campaign.Process(entry);
+    ASSERT_FALSE(rec.degraded) << rec.name;
+    const Compactor& c = campaign.compactor(entry.target);
+    const auto key = [&](const Program& ptp, const BitVec* skip) {
+      trace::PatternProbe probe(entry.target);
+      gpu::Sm sm;
+      sm.AddMonitor(&probe);
+      sm.Run(ptp);
+      return store::FaultSimKeyWith(c.module(), probe.patterns(),
+                                    c.prep()->faults_fp, skip,
+                                    /*drop_detected=*/true,
+                                    store::SimModel::kStuckAt);
+    };
+    const auto add_full = [&](const Program& ptp) {
+      const store::StoreKey k = key(ptp, nullptr);
+      full_keys.emplace(k.ToHex(), k);
+    };
+    add_full(entry.ptp);
+    if (!entry.compactable) continue;
+    add_full(rec.result.compacted);
+    BitVec& mask =
+        dropped.try_emplace(entry.target, c.faults().size(), false)
+            .first->second;
+    skip_keys.push_back(key(entry.ptp, &mask));
+    skip_keys.push_back(key(rec.result.compacted, &mask));
+    mask |= rec.result.fault_report.detected_mask;
+  }
+
+  // The first PTP on each module keeps every SB (nothing is dropped yet),
+  // so its compacted patterns are its original ones: one distinct run.
+  ASSERT_EQ(full_keys.size(), 1 + 2 + 1 + 2 + 1u);
+  const store::StoreStats stats = store.stats();
+  EXPECT_EQ(stats.hits + stats.misses, 2 * 4 + 1u);
+  EXPECT_EQ(stats.misses, full_keys.size());
+  EXPECT_EQ(stats.stores, full_keys.size());
+  for (const auto& [hex, k] : full_keys) {
+    EXPECT_TRUE(std::filesystem::exists(store.EntryPath(k)))
+        << "full-list entry " << hex;
+  }
+  for (const store::StoreKey& k : skip_keys) {
+    EXPECT_FALSE(std::filesystem::exists(store.EntryPath(k)))
+        << "skip-keyed entry " << k.ToHex();
+  }
 }
 
 TEST_F(CompactorFixture, ReportsAreConsistent) {

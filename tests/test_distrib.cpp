@@ -1,9 +1,10 @@
 // Distributed-campaign subsystem tests: skip-mask replay bit-identity
 // against the live engine, the work-unit codec (round trip + corruption
 // fallback), the advisory claim protocol (exclusive claim, heartbeat,
-// stale steal, done markers), the Compactor's distrib_replay path, and the
-// coordinator's two-phase schedule end to end — forked fleet and chaos
-// runs must produce reports byte-identical to the single-process campaign.
+// stale steal, done markers), the Compactor's replay through the store,
+// and the coordinator's two-phase schedule end to end — forked fleet and
+// chaos runs must produce reports byte-identical to the single-process
+// campaign.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -310,8 +311,10 @@ TEST(ClaimBoardTest, ExactlyOneOwnerStaleStealAndDoneMarkers) {
   EXPECT_FALSE(reclaimed.stole);
 }
 
-// --- distrib_replay through the Compactor -----------------------------------
+// --- Skip-mask replay through the Compactor ---------------------------------
 
+// The store-less campaign replays too; the independent campaign-level
+// oracle is CampaignVsReference in tests/test_reference.cpp.
 TEST(DistribReplayTest, CampaignReportIsByteIdenticalAndReplaysHappen) {
   const auto plan = SmallPlan();
   const std::string reference = RunCampaign(plan, {});
@@ -319,7 +322,6 @@ TEST(DistribReplayTest, CampaignReportIsByteIdenticalAndReplaysHappen) {
   store::ResultStore store(ScratchDir("distrib_replay"));
   compact::CompactorOptions opt;
   opt.result_store = &store;
-  opt.distrib_replay = true;
 
   // Cold store: every full-list simulation runs live (and is cached), and
   // every skip-masked one is REPLAYED from it rather than simulated.
@@ -344,7 +346,6 @@ TEST(CoordinatorTest, ForkedFleetReportIsByteIdentical) {
   store::ResultStore store(scratch + "/cache");
   compact::CompactorOptions opt;
   opt.result_store = &store;
-  opt.distrib_replay = true;
 
   CoordinatorOptions copt;
   copt.dir = scratch + "/distrib";
@@ -384,7 +385,6 @@ TEST(CoordinatorTest, StaleClaimChaosIsStolenAndStaysByteIdentical) {
   store::ResultStore store(scratch + "/cache");
   compact::CompactorOptions opt;
   opt.result_store = &store;
-  opt.distrib_replay = true;
 
   CoordinatorOptions copt;
   copt.dir = scratch + "/distrib";
@@ -414,7 +414,6 @@ TEST(CoordinatorTest, NoWorkersAtAllStillCompletesInline) {
   store::ResultStore store(scratch + "/cache");
   compact::CompactorOptions opt;
   opt.result_store = &store;
-  opt.distrib_replay = true;
 
   CoordinatorOptions copt;
   copt.dir = scratch + "/distrib";

@@ -14,6 +14,9 @@
 // replay over the reference's full-list result must equal the reference's
 // skip-masked result, for every mask shape and thread count, including a
 // mask whose faults all drop in block 0 (the replay's last-block bound).
+// One level up, every result a Compactor reports for a short two-module
+// campaign — stage 3 and validation, which it replays, and both standalone
+// coverages — is held to reference runs on the same patterns and masks.
 //
 // This suite carries the ctest labels `tsan` (the engine and the replay
 // shard over the worker pool and share good-machine blocks read-only) and
@@ -21,14 +24,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "circuits/decoder_unit.h"
 #include "circuits/sfu.h"
 #include "circuits/sp_core.h"
+#include "common/error.h"
 #include "common/rng.h"
 #include "common/status.h"
+#include "compact/compactor.h"
+#include "fault/collapse.h"
 #include "fault/fault.h"
 #include "fault/faultsim.h"
 #include "fault/parallel.h"
@@ -38,6 +45,7 @@
 #include "netlist/netlist.h"
 #include "netlist/patterns.h"
 #include "stl/generators.h"
+#include "store/fingerprint.h"
 #include "trace/trace.h"
 #include "tests/fault_test_util.h"
 #include "tests/reference_sim.h"
@@ -352,6 +360,119 @@ TEST(ReplayVsReference, ExpiredTokenThrowsDeadlineNeverPartial) {
   ExpectIdentical(full,
                   ReplaySkipFromFull(nl, faults, full, skip, good, options),
                   "disarmed token");
+}
+
+TEST(ReplayVsReference, EmptyMaskStillChecksItsInputs) {
+  // The empty mask returns the full result as is, but only after every
+  // input check: good blocks over other patterns, or a first detection
+  // past the patterns, are refused as for any other mask.
+  Rng rng(0xBEC7);
+  const Netlist nl = RandomNetlist(rng, 10, 80);
+  const PatternSet pats = RandomPatterns(rng, 10, 130);
+  const auto faults = EnumerateFaults(nl);
+  const FaultSimResult full =
+      ReferenceFaultSim(nl, pats, faults, nullptr, /*drop_detected=*/true);
+  const BitVec empty(faults.size(), false);
+
+  GoodBlockCache other_good(nl, RandomPatterns(rng, 10, 300));
+  EXPECT_THROW(ReplaySkipFromFull(nl, faults, full, empty, other_good), Error);
+  GoodBlockCache good(nl, pats);
+  FaultSimResult past_end = full;
+  past_end.first_detect[0] = static_cast<std::uint32_t>(pats.size());
+  EXPECT_THROW(ReplaySkipFromFull(nl, faults, past_end, empty, good), Error);
+
+  const std::uint64_t replays_before = GlobalReplayCounters().replays.load();
+  ExpectIdentical(full, ReplaySkipFromFull(nl, faults, full, empty, good),
+                  "empty mask");
+  EXPECT_EQ(GlobalReplayCounters().replays.load(), replays_before + 1)
+      << "the shortcut still counts as a replay";
+}
+
+// --- Campaign level ---
+
+/// The patterns the Compactor captures for `ptp` (stage 2), traced here
+/// independently of it.
+PatternSet TracedPatterns(const isa::Program& ptp, trace::TargetModule target) {
+  trace::PatternProbe probe(target);
+  gpu::Sm sm;
+  sm.AddMonitor(&probe);
+  sm.Run(ptp);
+  return probe.patterns();
+}
+
+TEST(CampaignVsReference, EveryCompactPtpMatchesReferenceRuns) {
+  // Two PTPs per module, compacted in order by one Compactor each, so the
+  // second sees the first's detections as its skip mask. Every fault sim
+  // the Compactor reports on — stage 3 and validation (replayed from the
+  // full-list runs) and the two standalone coverages (the full-list runs
+  // themselves) — is held to the reference simulator. The per-fault
+  // reference is slow on the bundled modules, so the Compactor's fault
+  // list is a fixed sample of each module's list.
+  struct Module {
+    Netlist nl;
+    trace::TargetModule target;
+    std::vector<isa::Program> ptps;
+  };
+  const Module modules[] = {
+      {circuits::BuildDecoderUnit(),
+       trace::TargetModule::kDecoderUnit,
+       {stl::GenerateImm(4, 3), stl::GenerateMem(4, 5)}},
+      {circuits::BuildSpCore(),
+       trace::TargetModule::kSpCore,
+       {stl::GenerateRand(2, 5), stl::GenerateRand(3, 9)}}};
+
+  for (const Module& m : modules) {
+    const std::vector<Fault> all = CollapsedFaultList(m.nl);
+    const BitVec sample = SampleMask(all.size(), 400);
+    auto prep = std::make_shared<compact::ModulePrep>();
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      if (!sample.Get(i)) prep->faults.push_back(all[i]);
+    }
+    prep->collapse = BuildFaultCollapse(m.nl, prep->faults);
+    prep->faults_fp = store::FingerprintFaults(prep->faults);
+    const std::vector<Fault>& faults = prep->faults;
+    const std::string module_name(trace::TargetModuleName(m.target));
+
+    for (const int threads : {1, 2, 5}) {
+      compact::CompactorOptions options;
+      options.num_threads = threads;
+      compact::Compactor compactor(m.nl, m.target, options, prep);
+      BitVec earlier(faults.size(), false);  // OR of earlier detected masks
+      for (std::size_t k = 0; k < m.ptps.size(); ++k) {
+        const std::string what = module_name + " ptp=" + std::to_string(k) +
+                                 " threads=" + std::to_string(threads);
+        if (k > 0) {
+          ASSERT_GT(earlier.Count(), 0u)
+              << what << ": the skip mask must not be empty";
+        }
+        const compact::CompactionResult res =
+            compactor.CompactPtp(m.ptps[k]);
+
+        const PatternSet before = TracedPatterns(m.ptps[k], m.target);
+        const PatternSet after = TracedPatterns(res.compacted, m.target);
+        ExpectIdentical(
+            ReferenceFaultSim(m.nl, before, faults, &earlier, true),
+            res.fault_report, what + " stage 3");
+        EXPECT_EQ(res.validation_detections,
+                  ReferenceFaultSim(m.nl, after, faults, &earlier, true)
+                      .num_detected)
+            << what << " validation";
+        EXPECT_EQ(res.original.fc_percent,
+                  CoveragePercent(
+                      ReferenceFaultSim(m.nl, before, faults, nullptr, true)
+                          .num_detected,
+                      faults.size()))
+            << what << " original FC";
+        EXPECT_EQ(res.result.fc_percent,
+                  CoveragePercent(
+                      ReferenceFaultSim(m.nl, after, faults, nullptr, true)
+                          .num_detected,
+                      faults.size()))
+            << what << " compacted FC";
+        earlier |= res.fault_report.detected_mask;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -560,7 +560,6 @@ int CmdCampaign(const Args& args) {
     if (cache == nullptr) {
       Die("--distrib-dir requires a result store (--cache-dir)");
     }
-    base.distrib_replay = true;
     preps.du = compact::BuildModulePrep(du);
     preps.sp = compact::BuildModulePrep(sp);
     preps.sfu = compact::BuildModulePrep(sfu);
