@@ -2,7 +2,8 @@
 //
 // The TCP listener is reachable from other machines, so unlike the
 // AF_UNIX socket it cannot lean on filesystem permissions. The first
-// exchange on every connection authenticates the peer:
+// exchange on every connection — on both socket families; the AF_UNIX
+// side runs it with the empty secret — authenticates the peer:
 //
 //   server -> {op:"hello", proto:1, nonce:"<32 hex>"}
 //   client -> {op:"auth", role:"client"|"worker", proof:"<32 hex>"}

@@ -7,6 +7,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -38,6 +39,80 @@ bool ResolveHost(const std::string& host, in_addr* out, std::string* error) {
   }
   *out = reinterpret_cast<sockaddr_in*>(result->ai_addr)->sin_addr;
   ::freeaddrinfo(result);
+  return true;
+}
+
+/// `host:port`, or the socket path: for diagnostics.
+std::string EndpointName(const Endpoint& endpoint) {
+  if (!endpoint.path.empty()) return endpoint.path;
+  return endpoint.host + ":" + std::to_string(endpoint.port);
+}
+
+/// Fills an AF_UNIX address for `path`; false (with a diagnostic) when
+/// the path does not fit `sun_path`.
+bool UnixAddress(const std::string& path, sockaddr_un* addr,
+                 std::string* error) {
+  *addr = sockaddr_un{};
+  addr->sun_family = AF_UNIX;
+  if (path.size() >= sizeof(addr->sun_path)) {
+    SetError(error, "socket path too long: " + path);
+    return false;
+  }
+  std::memcpy(addr->sun_path, path.c_str(), path.size() + 1);
+  return true;
+}
+
+/// Connects to an AF_UNIX socket. A local connect never waits on the
+/// network: it succeeds or fails at once.
+int ConnectUnix(const std::string& path, std::string* error) {
+  sockaddr_un addr;
+  if (!UnixAddress(path, &addr, error)) return -1;
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) {
+    SetError(error, std::string("socket: ") + std::strerror(errno));
+    return -1;
+  }
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    SetError(error, "connect " + path + ": " + std::strerror(errno));
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Binds `fd` to the AF_UNIX `path`. A socket file that a live process
+/// still accepts on is refused; a stale one (connect refused: its daemon
+/// crashed) is unlinked so restarts are never wedged by it.
+bool BindUnix(int fd, const std::string& path, std::string* error) {
+  sockaddr_un addr;
+  if (!UnixAddress(path, &addr, error)) return false;
+  const int probe = ConnectUnix(path, nullptr);
+  if (probe >= 0) {
+    ::close(probe);
+    SetError(error, "another daemon is listening on " + path);
+    return false;
+  }
+  ::unlink(path.c_str());
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    SetError(error, "bind " + path + ": " + std::strerror(errno));
+    return false;
+  }
+  return true;
+}
+
+/// Binds `fd` to the TCP `endpoint` (SO_REUSEADDR).
+bool BindTcp(int fd, const Endpoint& endpoint, std::string* error) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(endpoint.port);
+  if (!ResolveHost(endpoint.host, &addr.sin_addr, error)) return false;
+  const int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    SetError(error, "bind " + EndpointName(endpoint) + ": " +
+                        std::strerror(errno));
+    return false;
+  }
   return true;
 }
 
@@ -105,22 +180,14 @@ int BackoffDelayMs(const RetryPolicy& policy, int attempt, Rng& rng) {
 
 int ListenTcp(const Endpoint& endpoint, std::string* error,
               std::uint16_t* bound_port) {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(endpoint.port);
-  if (!ResolveHost(endpoint.host, &addr.sin_addr, error)) return -1;
-
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const bool unix_socket = !endpoint.path.empty();
+  const int fd = ::socket(unix_socket ? AF_UNIX : AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
     SetError(error, std::string("socket: ") + std::strerror(errno));
     return -1;
   }
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    SetError(error, "bind " + endpoint.host + ":" +
-                        std::to_string(endpoint.port) + ": " +
-                        std::strerror(errno));
+  if (!(unix_socket ? BindUnix(fd, endpoint.path, error)
+                    : BindTcp(fd, endpoint, error))) {
     ::close(fd);
     return -1;
   }
@@ -129,7 +196,7 @@ int ListenTcp(const Endpoint& endpoint, std::string* error,
     ::close(fd);
     return -1;
   }
-  if (bound_port != nullptr) {
+  if (bound_port != nullptr && !unix_socket) {
     sockaddr_in bound{};
     socklen_t len = sizeof(bound);
     if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) == 0) {
@@ -140,14 +207,20 @@ int ListenTcp(const Endpoint& endpoint, std::string* error,
 }
 
 int AcceptTcp(int listen_fd) {
-  const int fd = ::accept(listen_fd, nullptr, nullptr);
+  sockaddr_storage peer{};
+  socklen_t len = sizeof(peer);
+  const int fd =
+      ::accept(listen_fd, reinterpret_cast<sockaddr*>(&peer), &len);
   if (fd < 0) return -1;
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  if (peer.ss_family == AF_INET) {
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  }
   return fd;
 }
 
 int ConnectTcp(const Endpoint& endpoint, int timeout_ms, std::string* error) {
+  if (!endpoint.path.empty()) return ConnectUnix(endpoint.path, error);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(endpoint.port);
@@ -165,8 +238,7 @@ int ConnectTcp(const Endpoint& endpoint, int timeout_ms, std::string* error) {
   const int rc =
       ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
   if (rc != 0 && errno != EINPROGRESS) {
-    SetError(error, "connect " + endpoint.host + ":" +
-                        std::to_string(endpoint.port) + ": " +
+    SetError(error, "connect " + EndpointName(endpoint) + ": " +
                         std::strerror(errno));
     ::close(fd);
     return -1;
@@ -180,10 +252,8 @@ int ConnectTcp(const Endpoint& endpoint, int timeout_ms, std::string* error) {
       ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &soerr, &len);
     }
     if (ready <= 0 || soerr != 0) {
-      SetError(error, "connect " + endpoint.host + ":" +
-                          std::to_string(endpoint.port) + ": " +
-                          (ready <= 0 ? "timed out"
-                                      : std::strerror(soerr)));
+      SetError(error, "connect " + EndpointName(endpoint) + ": " +
+                          (ready <= 0 ? "timed out" : std::strerror(soerr)));
       ::close(fd);
       return -1;
     }

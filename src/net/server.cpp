@@ -1,4 +1,4 @@
-#include "net/tcp_server.h"
+#include "net/server.h"
 
 #include <poll.h>
 #include <sys/socket.h>
@@ -14,7 +14,14 @@ namespace gpustl::net {
 
 using service::Json;
 
-struct TcpServer::Connection {
+namespace {
+
+/// The handshake secret of AF_UNIX connections: any proof passes.
+const std::string kNoSecret;
+
+}  // namespace
+
+struct Server::Connection {
   explicit Connection(int fd, FrameLimits limits) : conn(fd, limits) {}
 
   Conn conn;
@@ -24,6 +31,9 @@ struct TcpServer::Connection {
   // Ledger attachments made by this connection's reader thread (reader
   // thread only; detached when the connection ends).
   std::vector<std::pair<std::string, std::uint64_t>> attachments;
+
+  // Set by the reader thread as its last act: the accept loop may join it.
+  std::atomic<bool> finished{false};
 
   /// Serialized, deadline-bounded frame write. Returns false once the
   /// connection is broken; never detaches from the ledger here (the
@@ -41,70 +51,114 @@ struct TcpServer::Connection {
   }
 };
 
-TcpServer::TcpServer(service::CampaignService& service, WorkBroker broker,
-                     TcpServerOptions options)
+Server::Server(service::CampaignService& service, WorkBroker broker,
+               ServerOptions options)
     : service_(service),
       broker_(std::move(broker)),
       options_(std::move(options)) {}
 
-TcpServer::~TcpServer() {
-  if (listen_fd_ >= 0) ::close(listen_fd_);
+Server::~Server() {
+  CloseListeners();
   if (stop_pipe_[0] >= 0) ::close(stop_pipe_[0]);
   if (stop_pipe_[1] >= 0) ::close(stop_pipe_[1]);
 }
 
-bool TcpServer::Start(std::string* error) {
+void Server::CloseListeners() {
+  for (const Listener& listener : listeners_) {
+    ::close(listener.fd);
+    if (!listener.endpoint.path.empty()) {
+      ::unlink(listener.endpoint.path.c_str());
+    }
+  }
+  listeners_.clear();
+}
+
+bool Server::Start(std::string* error) {
   if (::pipe(stop_pipe_) != 0) {
     if (error) *error = "pipe failed";
     return false;
   }
-  listen_fd_ = ListenTcp(options_.endpoint, error, &bound_port_);
-  return listen_fd_ >= 0;
+  for (const Endpoint& endpoint : options_.endpoints) {
+    Listener listener{endpoint};
+    listener.fd = ListenTcp(endpoint, error, &listener.port);
+    if (listener.fd < 0) {
+      // All or nothing: a daemon that exits on this error (without
+      // unwinding) must not leave a socket file it bound behind.
+      CloseListeners();
+      return false;
+    }
+    listeners_.push_back(std::move(listener));
+  }
+  return true;
 }
 
-void TcpServer::RequestStop() {
+std::uint16_t Server::bound_port() const {
+  for (const Listener& listener : listeners_) {
+    if (listener.endpoint.path.empty()) return listener.port;
+  }
+  return 0;
+}
+
+void Server::RequestStop() {
   const char byte = 's';
   [[maybe_unused]] const ssize_t n = ::write(stop_pipe_[1], &byte, 1);
 }
 
-void TcpServer::Serve() {
+void Server::Serve() {
+  std::vector<pollfd> fds;
+  for (const Listener& listener : listeners_) {
+    fds.push_back({listener.fd, POLLIN, 0});
+  }
+  fds.push_back({stop_pipe_[0], POLLIN, 0});
   while (!stopping_.load(std::memory_order_relaxed)) {
-    pollfd fds[2];
-    fds[0] = {listen_fd_, POLLIN, 0};
-    fds[1] = {stop_pipe_[0], POLLIN, 0};
-    const int ready = ::poll(fds, 2, -1);
+    const int ready = ::poll(fds.data(), fds.size(), -1);
     if (ready < 0) {
       if (errno == EINTR) continue;
       break;
     }
-    if (fds[1].revents != 0) {
+    if (fds.back().revents != 0) {
       stopping_.store(true, std::memory_order_relaxed);
       break;
     }
-    if ((fds[0].revents & POLLIN) == 0) continue;
-    const int fd = AcceptTcp(listen_fd_);
-    if (fd < 0) continue;
-    auto conn = std::make_shared<Connection>(fd, options_.limits);
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    conns_.push_back(conn);
-    conn_threads_.emplace_back(
-        [this, conn] { HandleConnection(std::move(conn)); });
+    for (std::size_t i = 0; i < listeners_.size(); ++i) {
+      if ((fds[i].revents & POLLIN) == 0) continue;
+      const int fd = AcceptTcp(listeners_[i].fd);
+      if (fd < 0) continue;
+      // Local peers are gated by the socket file's permissions instead.
+      const std::string& secret =
+          listeners_[i].endpoint.path.empty() ? options_.secret : kNoSecret;
+      auto conn = std::make_shared<Connection>(fd, options_.limits);
+      std::lock_guard<std::mutex> lock(conns_mu_);
+      // Release finished connections. Their threads are past their last
+      // statement, so the join is immediate, and each Conn (with its fd)
+      // dies with its last reference — a job event sink holds one only
+      // while the connection is attached.
+      for (auto it = conns_.begin(); it != conns_.end();) {
+        if (it->conn->finished.load(std::memory_order_acquire)) {
+          it->thread.join();
+          it = conns_.erase(it);
+        } else {
+          ++it;
+        }
+      }
+      conns_.push_back({conn, std::thread([this, conn, &secret] {
+                          HandleConnection(conn, secret);
+                        })});
+    }
   }
 }
 
-void TcpServer::JoinConnections() {
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (const auto& conn : conns_) conn->conn.Shutdown();
-  }
-  for (std::thread& t : conn_threads_) {
-    if (t.joinable()) t.join();
-  }
+void Server::JoinConnections() {
+  std::lock_guard<std::mutex> lock(conns_mu_);
+  for (ConnThread& ct : conns_) ct.conn->conn.Shutdown();
+  for (ConnThread& ct : conns_) ct.thread.join();
+  conns_.clear();
 }
 
-void TcpServer::HandleConnection(std::shared_ptr<Connection> conn) {
-  const HandshakeResult hs = ServerHandshake(
-      conn->conn, options_.secret, options_.handshake_deadline_ms);
+void Server::HandleConnection(const std::shared_ptr<Connection>& conn,
+                              const std::string& secret) {
+  const HandshakeResult hs =
+      ServerHandshake(conn->conn, secret, options_.handshake_deadline_ms);
   if (!hs.ok) return;
   if (hs.role == "worker") {
     ServeWorker(conn);
@@ -114,9 +168,10 @@ void TcpServer::HandleConnection(std::shared_ptr<Connection> conn) {
   for (const auto& [client_job, attach_id] : conn->attachments) {
     ledger_.Detach(client_job, attach_id);
   }
+  conn->finished.store(true, std::memory_order_release);
 }
 
-void TcpServer::ServeClient(const std::shared_ptr<Connection>& conn) {
+void Server::ServeClient(const std::shared_ptr<Connection>& conn) {
   while (!conn->conn.closed()) {
     Json request;
     // Infinite read: a client parked between requests waiting for job
@@ -135,7 +190,6 @@ void TcpServer::ServeClient(const std::shared_ptr<Connection>& conn) {
       Json ok = Json::Object();
       ok.Set("event", "ok");
       conn->WriteDoc(ok, options_.write_deadline_ms, "reply");
-      if (on_shutdown_) on_shutdown_();
       RequestStop();
       break;
     } else if (op == "submit") {
@@ -143,7 +197,7 @@ void TcpServer::ServeClient(const std::shared_ptr<Connection>& conn) {
       if (client_job.empty()) {
         conn->WriteDoc(
             service::EventRejected(0, "bad-request",
-                                   "submit over TCP requires client_job"),
+                                   "submit requires client_job"),
             options_.write_deadline_ms, "event");
         continue;
       }
@@ -180,7 +234,7 @@ void TcpServer::ServeClient(const std::shared_ptr<Connection>& conn) {
   }
 }
 
-void TcpServer::ServeWorker(const std::shared_ptr<Connection>& conn) {
+void Server::ServeWorker(const std::shared_ptr<Connection>& conn) {
   if (!broker_.enabled()) {
     Json deny;
     deny.Set("op", "error");
@@ -189,7 +243,7 @@ void TcpServer::ServeWorker(const std::shared_ptr<Connection>& conn) {
     return;
   }
   auto session = broker_.OpenSession(
-      "tcp-worker-" + std::to_string(conn->conn.fd()) + "-" +
+      "net-worker-" + std::to_string(conn->conn.fd()) + "-" +
       std::to_string(static_cast<unsigned long>(::getpid())));
   while (!conn->conn.closed() &&
          !stopping_.load(std::memory_order_relaxed)) {

@@ -5,7 +5,10 @@
 #   service_smoke.sh <gpustld> <gpustl-client> <gpustlc>
 #
 # Covers, in order:
-#   0. a removed engine switch (--no-ffr) is a usage error: exit 2;
+#   0. usage errors exit 2 before any listen or connect: a removed engine
+#      switch (--no-ffr), a malformed --listen address, a client without
+#      --socket/--connect, with both, and a submit without --manifest
+#      against a dead socket;
 #   1. daemon startup + ping/status round trips;
 #   2. a mixed submit batch: a normal campaign (report byte-identical to
 #      `gpustlc campaign --report` for the same manifest) and a degraded
@@ -65,6 +68,18 @@ rc=$?
 [ "$rc" -eq 2 ] || fail "gpustld --no-ffr exited $rc (want 2)"
 grep -q "unknown flag --no-ffr" "$WORK/noffr.out" \
   || fail "gpustld --no-ffr: $(cat "$WORK/noffr.out")"
+"$GPUSTLD" --listen no-port > "$WORK/badlisten.out" 2>&1
+rc=$?
+[ "$rc" -eq 2 ] || fail "gpustld --listen no-port exited $rc (want 2)"
+
+for args in "ping" \
+            "--socket $SOCK --connect 127.0.0.1:1 ping" \
+            "--socket $WORK/dead.sock submit"; do
+  # shellcheck disable=SC2086  # word splitting is the point
+  "$CLIENT" $args > "$WORK/usage.out" 2>&1
+  rc=$?
+  [ "$rc" -eq 2 ] || fail "gpustl-client $args exited $rc (want 2): $(cat "$WORK/usage.out")"
+done
 
 # --- 1. startup -------------------------------------------------------------
 "$GPUSTLD" --socket "$SOCK" --workers 2 --cache-dir "$WORK/cache" \

@@ -1,10 +1,11 @@
-// Off-box transport: endpoint parsing, the length-framed NDJSON codec
+// The daemon transport: endpoint parsing, the length-framed NDJSON codec
 // and its failure taxonomy (torn / too-large / timeout), the
 // shared-secret handshake, the JobLedger's idempotent-submit and
-// event-resume semantics, the worker broker's publish validation, and
-// the TcpServer end to end — a TCP submit must render the byte-identical
-// report `gpustlc campaign --report` would, including under connection
-// chaos, with no duplicated and no lost events.
+// event-resume semantics, the worker broker's publish validation, the
+// AF_UNIX listener's start-up checks, and the Server end to end on both
+// socket families — a submit over TCP or AF_UNIX must render the
+// byte-identical report `gpustlc campaign --report` would, including
+// under connection chaos, with no duplicated and no lost events.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -35,7 +36,7 @@
 #include "net/handshake.h"
 #include "net/ledger.h"
 #include "net/net.h"
-#include "net/tcp_server.h"
+#include "net/server.h"
 #include "service/protocol.h"
 #include "service/service.h"
 
@@ -45,7 +46,7 @@ namespace {
 namespace fs = std::filesystem;
 using service::Json;
 
-std::string ScratchDir(const char* name) {
+std::string ScratchDir(const std::string& name) {
   const fs::path dir = fs::path(::testing::TempDir()) / "gpustl_net" / name;
   fs::remove_all(dir);
   fs::create_directories(dir);
@@ -482,7 +483,7 @@ TEST(BrokerTest, FetchOnEmptyPoolIsIdleAndRenewWithoutLeaseIsLost) {
   EXPECT_EQ(session->Handle(bogus).GetString("op"), "error");
 }
 
-// --- TcpServer end to end ----------------------------------------------------
+// --- Server end to end ------------------------------------------------------
 
 constexpr const char* kTinyAsm = R"(.entry tiny
 .blocks 1
@@ -539,26 +540,43 @@ Json TinySubmitDoc() {
   return req;
 }
 
-/// A live TcpServer on an ephemeral port wrapping a 2-worker service.
-struct TcpFixture {
-  explicit TcpFixture(std::string secret = "sesame",
-                      BrokerOptions broker_options = {}) {
+/// The socket family a fixture listens on.
+enum class Family { kTcp, kUnix };
+
+/// A fresh AF_UNIX socket path under the test scratch dir.
+std::string UnixSocketPath() {
+  static int counter = 0;
+  return ScratchDir("unix-" + std::to_string(counter++)) + "/d.sock";
+}
+
+/// A live Server wrapping a 2-worker service, listening on an ephemeral
+/// TCP port or on a fresh AF_UNIX socket.
+struct ServerFixture {
+  explicit ServerFixture(Family family = Family::kTcp,
+                         std::string secret = "sesame",
+                         BrokerOptions broker_options = {}) {
     service::ServiceOptions sopts;
     sopts.workers = 2;
     svc = std::make_unique<service::CampaignService>(sopts);
-    TcpServerOptions topts;
-    topts.endpoint = {"127.0.0.1", 0};
-    topts.secret = secret;
-    topts.worker_slice_ms = 100;  // brisk lease sweeps for tests
-    server = std::make_unique<TcpServer>(*svc, WorkBroker(broker_options),
-                                         topts);
+    ServerOptions options;
+    if (family == Family::kTcp) {
+      options.endpoints = {{"127.0.0.1", 0}};
+    } else {
+      options.endpoints = {{.path = UnixSocketPath()}};
+    }
+    options.secret = secret;
+    options.worker_slice_ms = 100;  // brisk lease sweeps for tests
+    endpoint = options.endpoints[0];
+    server = std::make_unique<Server>(*svc, WorkBroker(broker_options),
+                                      options);
     std::string error;
     started = server->Start(&error);
     EXPECT_TRUE(started) << error;
     if (started) serve = std::thread([this] { server->Serve(); });
+    endpoint.port = server->bound_port();
   }
 
-  ~TcpFixture() {
+  ~ServerFixture() {
     if (started) {
       server->RequestStop();
       serve.join();
@@ -569,19 +587,29 @@ struct TcpFixture {
 
   ChannelOptions Channel(std::string secret = "sesame") {
     ChannelOptions copts;
-    copts.endpoint = {"127.0.0.1", server->bound_port()};
+    copts.endpoint = endpoint;
     copts.secret = std::move(secret);
     return copts;
   }
 
   std::unique_ptr<service::CampaignService> svc;
-  std::unique_ptr<TcpServer> server;
+  std::unique_ptr<Server> server;
+  Endpoint endpoint;  // where clients connect
   std::thread serve;
   bool started = false;
 };
 
-TEST(TcpServerTest, PingAndStatusRoundTrip) {
-  TcpFixture fx;
+/// The end-to-end client cases, run once per socket family.
+class BothFamiliesTest : public ::testing::TestWithParam<Family> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Server, BothFamiliesTest, ::testing::Values(Family::kTcp, Family::kUnix),
+    [](const ::testing::TestParamInfo<Family>& info) {
+      return info.param == Family::kTcp ? "tcp" : "unix";
+    });
+
+TEST_P(BothFamiliesTest, PingAndStatusRoundTrip) {
+  ServerFixture fx(GetParam());
   NetChannel channel(fx.Channel());
   std::string error;
   ASSERT_TRUE(channel.EnsureConnected(&error)) << error;
@@ -599,19 +627,8 @@ TEST(TcpServerTest, PingAndStatusRoundTrip) {
   EXPECT_EQ(st->GetInt("workers"), 2);
 }
 
-TEST(TcpServerTest, WrongSecretFailsFastAndFatal) {
-  TcpFixture fx;
-  ChannelOptions copts = fx.Channel("not-sesame");
-  copts.retry.attempts = 4;
-  NetChannel channel(copts);
-  std::string error;
-  bool fatal = false;
-  EXPECT_FALSE(channel.EnsureConnected(&error, &fatal));
-  EXPECT_TRUE(fatal) << "bad-secret must not burn the retry budget";
-}
-
-TEST(TcpServerTest, SubmitStreamsEventsAndMatchesDirectReport) {
-  TcpFixture fx;
+TEST_P(BothFamiliesTest, SubmitStreamsEventsAndMatchesDirectReport) {
+  ServerFixture fx(GetParam());
   NetChannel channel(fx.Channel());
 
   std::vector<Json> events;
@@ -623,7 +640,7 @@ TEST(TcpServerTest, SubmitStreamsEventsAndMatchesDirectReport) {
   EXPECT_EQ(outcome.terminal.GetInt("entries"), 2);
   EXPECT_EQ(outcome.terminal.GetString("report"),
             DirectReport(service::BuildPlan(TinyRequest())))
-      << "a TCP submit must render the byte-identical gpustlc report";
+      << "a daemon submit must render the byte-identical gpustlc report";
 
   // The stream is gapless and ends in exactly one terminal event.
   ASSERT_GE(events.size(), 4u);
@@ -640,22 +657,8 @@ TEST(TcpServerTest, SubmitStreamsEventsAndMatchesDirectReport) {
   EXPECT_EQ(terminals, 1);
 }
 
-TEST(TcpServerTest, SubmitWithoutClientJobIsRejected) {
-  TcpFixture fx;
-  NetChannel channel(fx.Channel());
-  std::string error;
-  ASSERT_TRUE(channel.EnsureConnected(&error)) << error;
-
-  Json req = TinySubmitDoc();  // no client_job on purpose
-  ASSERT_TRUE(channel.Send(req));
-  Json reply;
-  ASSERT_EQ(channel.Read(&reply, 5000), IoStatus::kOk);
-  EXPECT_EQ(reply.GetString("event"), "rejected");
-  EXPECT_NE(reply.GetString("detail").find("client_job"), std::string::npos);
-}
-
-TEST(TcpServerTest, DuplicateSubmitAttachesInsteadOfStartingTwice) {
-  TcpFixture fx;
+TEST_P(BothFamiliesTest, DuplicateSubmitAttachesInsteadOfStartingTwice) {
+  ServerFixture fx(GetParam());
   const std::string client_job = GenerateClientJobId();
 
   NetChannel first(fx.Channel());
@@ -682,12 +685,12 @@ TEST(TcpServerTest, DuplicateSubmitAttachesInsteadOfStartingTwice) {
       << "one client_job must mean one ledger entry";
 }
 
-TEST(TcpServerTest, EventStreamResumesAcrossChaosConnDrops) {
+TEST_P(BothFamiliesTest, EventStreamResumesAcrossChaosConnDrops) {
   // Drop the server->client connection on the 2nd event write: the
   // client must reconnect, resume from its last seq, and still see a
   // gapless stream with one terminal event and the identical report.
   chaos::ScopedChaos scoped("conn-drop@event#2", 1);
-  TcpFixture fx;
+  ServerFixture fx(GetParam());
   NetChannel channel(fx.Channel());
 
   std::vector<Json> events;
@@ -708,8 +711,57 @@ TEST(TcpServerTest, EventStreamResumesAcrossChaosConnDrops) {
   EXPECT_EQ(events.back().GetString("event"), "complete");
 }
 
-TEST(TcpServerTest, WorkerConnectionRefusedWithoutDistribDir) {
-  TcpFixture fx;  // no broker options: broker disabled
+/// Open descriptors of this process.
+std::ptrdiff_t OpenFds() {
+  return std::distance(fs::directory_iterator("/proc/self/fd"),
+                       fs::directory_iterator{});
+}
+
+TEST_P(BothFamiliesTest, FinishedConnectionsReleaseTheirDescriptors) {
+  ServerFixture fx(GetParam());
+  Json ping;
+  ping.Set("op", "ping");
+  const auto ping_once = [&] {
+    NetChannel channel(fx.Channel());
+    std::string error;
+    ASSERT_TRUE(channel.EnsureConnected(&error)) << error;
+    ASSERT_TRUE(channel.Call(ping, 5000).has_value());
+  };
+  ping_once();
+  const std::ptrdiff_t before = OpenFds();
+  for (int i = 0; i < 20; ++i) ping_once();
+  // Every accept releases the connections that finished before it, so
+  // only the last few can still hold a descriptor — not all twenty.
+  EXPECT_LE(OpenFds(), before + 5);
+}
+
+TEST(ServerTest, WrongSecretFailsFastAndFatal) {
+  ServerFixture fx;
+  ChannelOptions copts = fx.Channel("not-sesame");
+  copts.retry.attempts = 4;
+  NetChannel channel(copts);
+  std::string error;
+  bool fatal = false;
+  EXPECT_FALSE(channel.EnsureConnected(&error, &fatal));
+  EXPECT_TRUE(fatal) << "bad-secret must not burn the retry budget";
+}
+
+TEST(ServerTest, SubmitWithoutClientJobIsRejected) {
+  ServerFixture fx;
+  NetChannel channel(fx.Channel());
+  std::string error;
+  ASSERT_TRUE(channel.EnsureConnected(&error)) << error;
+
+  Json req = TinySubmitDoc();  // no client_job on purpose
+  ASSERT_TRUE(channel.Send(req));
+  Json reply;
+  ASSERT_EQ(channel.Read(&reply, 5000), IoStatus::kOk);
+  EXPECT_EQ(reply.GetString("event"), "rejected");
+  EXPECT_NE(reply.GetString("detail").find("client_job"), std::string::npos);
+}
+
+TEST(ServerTest, WorkerConnectionRefusedWithoutDistribDir) {
+  ServerFixture fx;  // no broker options: broker disabled
   ChannelOptions copts = fx.Channel();
   copts.role = "worker";
   NetChannel channel(copts);
@@ -722,11 +774,11 @@ TEST(TcpServerTest, WorkerConnectionRefusedWithoutDistribDir) {
   EXPECT_NE(reply.GetString("error").find("distrib"), std::string::npos);
 }
 
-TEST(TcpServerTest, WorkerFetchSeesIdleOnEmptyPool) {
+TEST(ServerTest, WorkerFetchSeesIdleOnEmptyPool) {
   BrokerOptions broker;
   broker.distrib_dir = ScratchDir("tcp-worker-distrib");
   broker.cache_dir = ScratchDir("tcp-worker-cache");
-  TcpFixture fx("sesame", broker);
+  ServerFixture fx(Family::kTcp, "sesame", broker);
   ChannelOptions copts = fx.Channel();
   copts.role = "worker";
   NetChannel channel(copts);
@@ -739,6 +791,128 @@ TEST(TcpServerTest, WorkerFetchSeesIdleOnEmptyPool) {
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->GetString("op"), "idle");
   EXPECT_FALSE(reply->GetBool("done"));
+}
+
+// --- AF_UNIX listener --------------------------------------------------------
+
+/// A Server (not yet started) on `endpoints`.
+struct IdleServer {
+  explicit IdleServer(std::vector<Endpoint> endpoints) {
+    service::ServiceOptions sopts;
+    sopts.workers = 1;
+    svc = std::make_unique<service::CampaignService>(sopts);
+    ServerOptions options;
+    options.endpoints = std::move(endpoints);
+    server = std::make_unique<Server>(*svc, WorkBroker({}), options);
+  }
+
+  std::unique_ptr<service::CampaignService> svc;
+  std::unique_ptr<Server> server;
+};
+
+TEST(UnixSocketTest, StartFailsOnOverlongPath) {
+  IdleServer us({{.path = std::string(200, 'x') + "/daemon.sock"}});
+  std::string error;
+  EXPECT_FALSE(us.server->Start(&error));
+  EXPECT_NE(error.find("too long"), std::string::npos) << error;
+}
+
+TEST(UnixSocketTest, StartRefusesWhenAnotherDaemonIsListening) {
+  const std::string path = ScratchDir("sock_live") + "/daemon.sock";
+  IdleServer first({{.path = path}});
+  std::string error;
+  ASSERT_TRUE(first.server->Start(&error)) << error;
+
+  // `first` is listening (Start binds + listens); a second daemon on the
+  // same path must refuse instead of stealing the socket file.
+  {
+    IdleServer second({{.path = path}});
+    EXPECT_FALSE(second.server->Start(&error));
+    EXPECT_NE(error.find("another daemon"), std::string::npos) << error;
+  }
+  EXPECT_TRUE(fs::exists(path))
+      << "the refused server must not unlink the live daemon's socket";
+}
+
+TEST(UnixSocketTest, FailedStartLeavesNoSocketFile) {
+  // The socket binds first, then the TCP endpoint fails (port in use).
+  std::string error;
+  std::uint16_t busy_port = 0;
+  const int busy = ListenTcp({"127.0.0.1", 0}, &error, &busy_port);
+  ASSERT_GE(busy, 0) << error;
+  const std::string path = ScratchDir("sock_rollback") + "/daemon.sock";
+  IdleServer us({{.path = path}, {"127.0.0.1", busy_port}});
+  EXPECT_FALSE(us.server->Start(&error));
+  EXPECT_NE(error.find("bind"), std::string::npos) << error;
+  EXPECT_FALSE(fs::exists(path))
+      << "a daemon that exits on a failed start must leave no socket file";
+  ::close(busy);
+}
+
+TEST(UnixSocketTest, StartReclaimsAStaleSocketFile) {
+  // Simulate a crashed daemon: a socket file nobody is listening on.
+  const std::string path = ScratchDir("sock_stale") + "/daemon.sock";
+  {
+    std::string error;
+    const int fd = ListenTcp({.path = path}, &error);
+    ASSERT_GE(fd, 0) << error;
+    ::close(fd);  // no unlink — the file is now stale
+  }
+  ASSERT_TRUE(fs::exists(path));
+
+  IdleServer us({{.path = path}});
+  std::string error;
+  EXPECT_TRUE(us.server->Start(&error))
+      << "a dead daemon's socket file must not wedge restarts: " << error;
+}
+
+TEST(UnixSocketTest, OversizeInputClosesOnlyThatConnection) {
+  ServerFixture fx(Family::kUnix);
+
+  // After a clean handshake, each hostile header must close the
+  // connection (EOF, not a hung daemon) without buffering the input:
+  // an unterminated run of length digits, and a length over the
+  // frame limit (64 MiB).
+  for (const std::string& hostile :
+       {std::string(64, '7'), std::string("1000000000\n")}) {
+    std::string error;
+    const int fd = ConnectTcp(fx.endpoint, 2000, &error);
+    ASSERT_GE(fd, 0) << error;
+    Conn conn(fd);
+    ASSERT_TRUE(ClientHandshake(conn, "", "client", 5000).ok);
+    ASSERT_EQ(::send(fd, hostile.data(), hostile.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(hostile.size()));
+    std::string payload;
+    EXPECT_EQ(conn.ReadFrame(&payload, 5000), IoStatus::kClosed)
+        << "header '" << hostile.substr(0, 12) << "...'";
+  }
+
+  // A peer of the old unframed protocol gets the server's hello frame,
+  // then a close for its bare JSON line.
+  {
+    std::string error;
+    const int fd = ConnectTcp(fx.endpoint, 2000, &error);
+    ASSERT_GE(fd, 0) << error;
+    Conn conn(fd);
+    const std::string line = "{\"op\":\"ping\"}\n";
+    ASSERT_EQ(::send(fd, line.data(), line.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(line.size()));
+    Json hello;
+    ASSERT_EQ(conn.ReadJson(&hello, 5000), IoStatus::kOk);
+    EXPECT_EQ(hello.GetString("op"), "hello");
+    std::string payload;
+    EXPECT_EQ(conn.ReadFrame(&payload, 5000), IoStatus::kClosed);
+  }
+
+  // A well-behaved client on a fresh connection still gets service.
+  NetChannel channel(fx.Channel());
+  Json ping;
+  ping.Set("op", "ping");
+  std::string error;
+  ASSERT_TRUE(channel.EnsureConnected(&error)) << error;
+  const auto pong = channel.Call(ping, 5000);
+  ASSERT_TRUE(pong.has_value());
+  EXPECT_EQ(pong->GetString("event"), "pong");
 }
 
 }  // namespace

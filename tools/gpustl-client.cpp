@@ -1,8 +1,7 @@
 // gpustl-client — command-line client for the gpustld daemon.
 //
-// Speaks the newline-delimited JSON protocol (docs/FORMATS.md) over the
-// daemon's AF_UNIX socket, or the length-framed TCP transport for an
-// off-box daemon:
+// Speaks the daemon's framed wire protocol (docs/FORMATS.md) over its
+// AF_UNIX socket or, for an off-box daemon, its TCP listener:
 //
 //   gpustl-client --socket /run/gpustld.sock submit --manifest stl.txt
 //   gpustl-client --connect buildhost:7777 submit --manifest stl.txt
@@ -10,22 +9,16 @@
 //
 // `submit` streams the job's lifecycle events until the terminal one and
 // maps it to the exit code; --report writes the campaign report text (the
-// same bytes `gpustlc campaign --report` would produce) to a file. Over
-// TCP the submit is idempotent and resumable: a mid-stream disconnect
-// reconnects with backoff and resumes the event stream where it left
-// off, with no duplicated and no lost events.
+// same bytes `gpustlc campaign --report` would produce) to a file. The
+// submit is idempotent and resumable on both transports: a mid-stream
+// disconnect reconnects with backoff and resumes the event stream where
+// it left off, with no duplicated and no lost events.
 //
 // exit codes: 0 job complete (or ping/status/shutdown ok), 1 failed,
 // 2 usage, 3 job complete DEGRADED, 4 rejected, 5 transport error
 // (connect attempts exhausted, connection lost beyond recovery).
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -49,11 +42,12 @@ int Usage() {
       "\n"
       "transport:\n"
       "  --socket <path>        daemon's AF_UNIX socket\n"
-      "  --connect <host:port>  daemon's TCP listener; reconnects with\n"
-      "                         backoff and resumes event streams\n"
+      "  --connect <host:port>  daemon's TCP listener\n"
       "  --secret <s>           handshake secret for --connect (default:\n"
       "                         $GPUSTL_NET_SECRET)\n"
-      "  --retries N            connect attempts per cycle (default 8)\n"
+      "  --retries N            connect attempts per cycle (default 8);\n"
+      "                         both transports reconnect with backoff\n"
+      "                         and resume event streams\n"
       "\n"
       "commands:\n"
       "  submit --manifest <file> [options]   submit a campaign and stream\n"
@@ -99,51 +93,6 @@ int Usage() {
   std::exit(5);
 }
 
-int Connect(const std::string& socket_path) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (socket_path.empty()) Die("--socket <path> required");
-  if (socket_path.size() >= sizeof(addr.sun_path)) {
-    Die("socket path too long: " + socket_path);
-  }
-  std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size() + 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) Die(std::string("socket: ") + std::strerror(errno));
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    DieTransport("connect " + socket_path + ": " + std::strerror(errno));
-  }
-  return fd;
-}
-
-void SendLine(int fd, const std::string& line) {
-  std::string out = line;
-  out.push_back('\n');
-  std::size_t off = 0;
-  while (off < out.size()) {
-    const ssize_t n = ::send(fd, out.data() + off, out.size() - off, 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) DieTransport("send: daemon went away");
-    off += static_cast<std::size_t>(n);
-  }
-}
-
-/// Reads one newline-terminated line; false on EOF.
-bool ReadLine(int fd, std::string* buffer, std::string* line) {
-  while (true) {
-    const auto nl = buffer->find('\n');
-    if (nl != std::string::npos) {
-      *line = buffer->substr(0, nl);
-      buffer->erase(0, nl + 1);
-      return true;
-    }
-    char chunk[4096];
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return false;
-    buffer->append(chunk, static_cast<std::size_t>(n));
-  }
-}
-
 struct SubmitArgs {
   std::string manifest;
   std::string tenant;
@@ -159,7 +108,6 @@ struct SubmitArgs {
 };
 
 service::Json BuildSubmitRequest(const SubmitArgs& args) {
-  if (args.manifest.empty()) Die("submit needs --manifest <file>");
   service::Json req = service::Json::Object();
   req.Set("op", "submit");
   // The daemon resolves manifest-relative PTP paths, so the manifest path
@@ -180,8 +128,7 @@ service::Json BuildSubmitRequest(const SubmitArgs& args) {
 }
 
 /// Renders one job event. Returns true (with the exit code in `rc`) on
-/// the terminal event. Shared verbatim by the AF_UNIX and TCP paths so
-/// the two transports cannot drift in what the user sees.
+/// the terminal event.
 bool ProcessEvent(const service::Json& event, const SubmitArgs& args,
                   int* rc) {
   {
@@ -249,20 +196,7 @@ bool ProcessEvent(const service::Json& event, const SubmitArgs& args,
   return false;
 }
 
-int RunSubmit(int fd, const SubmitArgs& args) {
-  SendLine(fd, BuildSubmitRequest(args).Dump());
-  std::string buffer;
-  std::string line;
-  while (ReadLine(fd, &buffer, &line)) {
-    const auto event = service::Json::Parse(line);
-    if (!event) Die("bad event line from daemon: " + line);
-    int rc = 0;
-    if (ProcessEvent(*event, args, &rc)) return rc;
-  }
-  DieTransport("connection closed before the job finished");
-}
-
-int RunSubmitTcp(net::NetChannel& channel, const SubmitArgs& args) {
+int RunSubmit(net::NetChannel& channel, const SubmitArgs& args) {
   int rc = 0;
   bool terminal = false;
   const net::SubmitOutcome outcome = net::ResumableSubmit(
@@ -275,7 +209,7 @@ int RunSubmitTcp(net::NetChannel& channel, const SubmitArgs& args) {
   return rc;
 }
 
-int RunSimpleOpTcp(net::NetChannel& channel, const std::string& op) {
+int RunSimpleOp(net::NetChannel& channel, const std::string& op) {
   std::string error;
   bool fatal = false;
   if (!channel.EnsureConnected(&error, &fatal)) {
@@ -288,20 +222,6 @@ int RunSimpleOpTcp(net::NetChannel& channel, const std::string& op) {
   if (!reply) DieTransport("no response from daemon");
   std::printf("%s\n", reply->Dump().c_str());
   return reply->GetString("event") == "error" ? 1 : 0;
-}
-
-int RunSimpleOp(int fd, const std::string& op) {
-  service::Json req = service::Json::Object();
-  req.Set("op", op);
-  SendLine(fd, req.Dump());
-  std::string buffer;
-  std::string line;
-  if (!ReadLine(fd, &buffer, &line)) DieTransport("no response from daemon");
-  std::printf("%s\n", line.c_str());
-  const auto event = service::Json::Parse(line);
-  if (!event) return 1;
-  const std::string kind = event->GetString("event");
-  return kind == "error" ? 1 : 0;
 }
 
 int Main(int argc, char** argv) {
@@ -359,41 +279,35 @@ int Main(int argc, char** argv) {
     else DieUsage("unexpected argument " + arg);
   }
 
+  // The whole command line is checked before any connect: a usage error
+  // exits 2 whether or not a daemon is listening.
   if (command.empty()) return Usage();
-  if (!socket_path.empty() && !connect.empty()) {
-    Die("--socket and --connect are mutually exclusive");
+  if (command != "submit" && command != "ping" && command != "status" &&
+      command != "shutdown") {
+    DieUsage("unknown command " + command);
   }
-  if (!chaos.empty()) chaos::Install(chaos, chaos_seed);
-
-  if (!connect.empty()) {
+  if (socket_path.empty() == connect.empty()) {
+    DieUsage("give exactly one of --socket <path> and --connect <host:port>");
+  }
+  if (command == "submit" && submit.manifest.empty()) {
+    DieUsage("submit needs --manifest <file>");
+  }
+  net::ChannelOptions copts;
+  if (!socket_path.empty()) {
+    copts.endpoint.path = socket_path;
+  } else {
     std::string error;
     const auto endpoint = net::ParseEndpoint(connect, &error);
-    if (!endpoint) Die(error);
-    net::ChannelOptions copts;
+    if (!endpoint) DieUsage(error);
     copts.endpoint = *endpoint;
-    copts.secret = secret;
-    copts.retry.attempts = retries;
-    net::NetChannel channel(copts);
-    if (command == "submit") return RunSubmitTcp(channel, submit);
-    if (command == "ping" || command == "status" || command == "shutdown") {
-      return RunSimpleOpTcp(channel, command);
-    }
-    return Usage();
   }
+  copts.secret = secret;
+  copts.retry.attempts = retries;
+  if (!chaos.empty()) chaos::Install(chaos, chaos_seed);
 
-  const int fd = Connect(socket_path);
-  int rc;
-  if (command == "submit") {
-    rc = RunSubmit(fd, submit);
-  } else if (command == "ping" || command == "status" ||
-             command == "shutdown") {
-    rc = RunSimpleOp(fd, command);
-  } else {
-    ::close(fd);
-    return Usage();
-  }
-  ::close(fd);
-  return rc;
+  net::NetChannel channel(copts);
+  if (command == "submit") return RunSubmit(channel, submit);
+  return RunSimpleOp(channel, command);
 }
 
 }  // namespace

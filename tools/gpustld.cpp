@@ -1,7 +1,8 @@
 // gpustld — the compaction-as-a-service daemon.
 //
-// Accepts compaction campaign jobs over a local AF_UNIX socket speaking
-// newline-delimited JSON (docs/FORMATS.md), runs them on a worker pool
+// Accepts compaction campaign jobs over a local AF_UNIX socket and/or a
+// TCP listener, both speaking the framed, handshaken wire protocol
+// (docs/FORMATS.md, net/server.h), runs them on a worker pool
 // sharing one result store / warm-start cache / per-module fault prep,
 // admission-controls the queue (bounded depth, per-tenant quotas, priority
 // classes) and streams per-job lifecycle events back to each client.
@@ -17,16 +18,13 @@
 #include <cstring>
 #include <string>
 
-#include <thread>
-
 #include "common/chaos.h"
 #include "common/error.h"
 #include "common/strutil.h"
 #include "fault/trim.h"
 #include "net/broker.h"
 #include "net/net.h"
-#include "net/tcp_server.h"
-#include "service/server.h"
+#include "net/server.h"
 #include "service/service.h"
 
 namespace gpustl::tools {
@@ -90,13 +88,11 @@ int Usage() {
   std::exit(2);
 }
 
-service::SocketServer* g_server = nullptr;
-net::TcpServer* g_tcp_server = nullptr;
+net::Server* g_server = nullptr;
 
 void HandleSignal(int) {
-  // Both stops are a single self-pipe write: async-signal-safe.
+  // A single self-pipe write: async-signal-safe.
   if (g_server != nullptr) g_server->RequestStop();
-  if (g_tcp_server != nullptr) g_tcp_server->RequestStop();
 }
 
 struct Args {
@@ -167,6 +163,17 @@ int Main(int argc, char** argv) {
     Die("--distrib-dir requires --cache-dir (the shared store is the "
         "data plane workers publish to)");
   }
+  net::ServerOptions sopts;
+  if (!args.socket_path.empty()) {
+    sopts.endpoints.push_back({.path = args.socket_path});
+  }
+  if (!args.listen.empty()) {
+    std::string error;
+    const auto endpoint = net::ParseEndpoint(args.listen, &error);
+    if (!endpoint) DieUsage(error);
+    sopts.endpoints.push_back(*endpoint);
+  }
+  sopts.secret = args.secret;
   if (!args.chaos.empty()) {
     chaos::Install(args.chaos, args.chaos_seed);
   } else {
@@ -177,35 +184,14 @@ int Main(int argc, char** argv) {
     service::CampaignService service(args.service);
     std::string error;
 
-    std::unique_ptr<service::SocketServer> server;
-    if (!args.socket_path.empty()) {
-      server = std::make_unique<service::SocketServer>(service,
-                                                       args.socket_path);
-      if (!server->Start(&error)) Die(error);
-    }
+    net::BrokerOptions broker;
+    broker.distrib_dir = args.service.distrib_dir;
+    broker.cache_dir = args.service.cache_dir;
+    broker.lease_seconds = args.service.distrib_stale_seconds;
+    net::Server server(service, net::WorkBroker(broker), sopts);
+    if (!server.Start(&error)) Die(error);
 
-    std::unique_ptr<net::TcpServer> tcp_server;
-    if (!args.listen.empty()) {
-      const auto endpoint = net::ParseEndpoint(args.listen, &error);
-      if (!endpoint) Die(error);
-      net::BrokerOptions broker;
-      broker.distrib_dir = args.service.distrib_dir;
-      broker.cache_dir = args.service.cache_dir;
-      broker.lease_seconds = args.service.distrib_stale_seconds;
-      net::TcpServerOptions topts;
-      topts.endpoint = *endpoint;
-      topts.secret = args.secret;
-      tcp_server = std::make_unique<net::TcpServer>(
-          service, net::WorkBroker(broker), topts);
-      if (!tcp_server->Start(&error)) Die(error);
-      // A shutdown op arriving over TCP must also stop the AF_UNIX loop.
-      tcp_server->set_on_shutdown([&server] {
-        if (server) server->RequestStop();
-      });
-    }
-
-    g_server = server.get();
-    g_tcp_server = tcp_server.get();
+    g_server = &server;
     std::signal(SIGTERM, HandleSignal);
     std::signal(SIGINT, HandleSignal);
     std::signal(SIGPIPE, SIG_IGN);
@@ -213,38 +199,24 @@ int Main(int argc, char** argv) {
     // The smoke tests (and any wrapper) wait for these lines before
     // connecting; keep them first and flushed. The tcp line prints the
     // BOUND port, so `--listen 127.0.0.1:0` wrappers learn the address.
-    if (server) {
+    if (!args.socket_path.empty()) {
       std::printf("gpustld: listening on %s (%d workers)\n",
                   args.socket_path.c_str(), args.service.workers);
     }
-    if (tcp_server) {
-      const auto ep = net::ParseEndpoint(args.listen);
+    if (!args.listen.empty()) {
       std::printf("gpustld: listening on tcp %s:%u (%d workers)\n",
-                  ep->host.c_str(), tcp_server->bound_port(),
+                  sopts.endpoints.back().host.c_str(), server.bound_port(),
                   args.service.workers);
     }
     std::fflush(stdout);
 
-    if (server) {
-      std::thread tcp_thread;
-      if (tcp_server) {
-        tcp_thread = std::thread([&tcp_server] { tcp_server->Serve(); });
-      }
-      server->Serve();
-      if (tcp_server) {
-        tcp_server->RequestStop();
-        tcp_thread.join();
-      }
-    } else {
-      tcp_server->Serve();
-    }
+    server.Serve();
 
     std::printf("gpustld: draining (%s in-flight jobs)\n",
                 args.drain_cancel ? "cancelling" : "finishing");
     std::fflush(stdout);
     service.Drain(args.drain_cancel);
-    if (server) server->JoinConnections();
-    if (tcp_server) tcp_server->JoinConnections();
+    server.JoinConnections();
 
     const service::ServiceCounters c = service.counters();
     std::printf("gpustld: drained — %llu submitted, %llu completed, "
