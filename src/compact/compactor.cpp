@@ -162,28 +162,18 @@ fault::FaultSimResult Compactor::SimulateFaults(
                                     ? store::SimModel::kTransition
                                     : store::SimModel::kStuckAt;
   // Skip-mask replay (fault/replay.h): every dropped stuck-at run with a
-  // skip mask is derived from the full-list result of the same patterns —
+  // skip mask is a scatter of the full-list result of the same patterns —
   // a store hit when the distributed schedule or an earlier campaign put
-  // it there, a live run (cached for the next asker) otherwise — plus one
-  // pass over the good-machine blocks. The full-list run is the standalone
-  // measurement CompactPtp needs anyway, so a compacted PTP propagates
-  // twice, not four times. Exact; other shapes (no-drop, transition, no
-  // skip) take the live engine.
+  // it there, a live run (cached for the next asker) otherwise. The
+  // full-list run is the standalone measurement CompactPtp needs anyway,
+  // so a compacted PTP propagates twice, not four times. Exact; other
+  // shapes (no-drop, transition, no skip) take the live engine.
   if (skip != nullptr && drop_detected &&
       options_.fault_model == FaultModel::kStuckAt) {
     fault::FaultSimResult full = store::SimulateWithStore(
         options_.result_store, *module_, patterns, prep_->faults,
         /*skip=*/nullptr, sim_options, model, &prep_->faults_fp);
-    // Good blocks come from the warm-start cache when that trim mechanism
-    // is on (the full run just populated it); otherwise a private cache —
-    // replay must not quietly depend on the trim layer.
-    const std::shared_ptr<fault::GoodBlockCache> good_blocks =
-        fault::EffectiveTrim(options_.trim).warm_start && warm_cache_ != nullptr
-            ? warm_cache_->Acquire(*module_, patterns, trim_counters_.get())
-                  .good
-            : std::make_shared<fault::GoodBlockCache>(*module_, patterns);
-    fault::FaultSimResult replayed = fault::ReplaySkipFromFull(
-        *module_, prep_->faults, full, *skip, *good_blocks, sim_options);
+    fault::FaultSimResult replayed = fault::ReplaySkipFromFull(full, *skip);
     if (full_out != nullptr) *full_out = std::move(full);
     return replayed;
   }

@@ -19,7 +19,6 @@
 #include "distrib/claims.h"
 #include "distrib/units.h"
 #include "distrib/worker.h"
-#include "fault/parallel.h"
 #include "fault/replay.h"
 #include "gpu/sm.h"
 #include "isa/cfg.h"
@@ -315,14 +314,8 @@ PrefetchStats Coordinator::Prefetch(
           /*skip=*/nullptr, sim_options, store::SimModel::kStuckAt,
           &ts.prep->faults_fp);
 
-      const std::shared_ptr<fault::GoodBlockCache> good_blocks =
-          fault::EffectiveTrim(base_.trim).warm_start &&
-                  base_.warm_cache != nullptr
-              ? base_.warm_cache->Acquire(*ts.nl, patterns, nullptr).good
-              : std::make_shared<fault::GoodBlockCache>(*ts.nl, patterns);
-      const fault::FaultSimResult replayed = fault::ReplaySkipFromFull(
-          *ts.nl, ts.prep->faults, full, ts.detected, *good_blocks,
-          sim_options);
+      const fault::FaultSimResult replayed =
+          fault::ReplaySkipFromFull(full, ts.detected);
 
       const std::vector<bool> labels = compact::LabelInstructions(
           ptp, recorder.report(), patterns, replayed);

@@ -7,16 +7,14 @@
 //
 // The result must equal the reference simulator's (tests/reference_sim.h)
 // bit for bit. Detection words are per-pattern functions, so the block
-// width cannot change them; the one width-sensitive piece is drop
-// accounting. A class's activations count for every 64-pattern block up to
-// AND INCLUDING the block of its first detection, then it drops. A wide
-// block spans L such sub-blocks, so when a class drops at pattern lane s
-// the engine counts its activations only on lanes 0..s
-// (Wide::LaneMaskThrough) — which is why every loop below defers activation
-// counting until the block's drop decisions are known. The transition
-// engine's launch-history carry is the other width seam:
-// Wide::ShiftLeftOneCarry chains it through lane boundaries exactly as it
-// chains across blocks.
+// width cannot change them. Under dropping only the earliest detecting
+// lane of a wide block is accounted (Wide::FirstSetBit): a class that
+// drops in lane s records its first detection there and leaves the live
+// list after the block, which is exactly where a 64-pattern engine would
+// have recorded it, so the later lanes it was still simulated on
+// contribute nothing. The transition engine's launch-history carry is the
+// other width seam: Wide::ShiftLeftOneCarry chains it through lane
+// boundaries exactly as it chains across blocks.
 //
 // Internal header — include from engine_wide.cpp only.
 #pragma once
@@ -106,7 +104,7 @@ class WideGoodCache {
 /// as the corresponding sub-block of J' (UINT32_MAX marks sub-blocks past
 /// the pattern set, so partial tails only match partial tails). Equal
 /// tuples mean every lane reads literally the same good values — the
-/// captured activation/detection bundles replay exactly.
+/// captured detection bundles replay exactly.
 template <int L>
 struct WideTrim {
   bool dedup = false;
@@ -140,10 +138,9 @@ WideTrim<L> BuildWideTrim(const TrimPlan* tp, std::size_t num_patterns) {
 }
 
 /// Per-shard replay storage for one deduped wide source block (its
-/// activation and detection bundles). Zero-filled on creation.
+/// detection bundles). Zero-filled on creation.
 template <int L>
 struct WideReplayEntry {
-  std::vector<Wide<L>> acts;
   std::vector<Wide<L>> diffs;
   // Transition only: per-fault launch carry the bundle was captured under,
   // and the carry-out it produces.
@@ -258,7 +255,7 @@ class WidePropagator {
 /// fanout-free region, see GroupClassesByFfr). Per wide block, each region
 /// runs:
 ///
-///  1. per-member activation bundles (counted later, see 5b);
+///  1. per-class leader activation bundles;
 ///  2. one backward critical-path trace over the region's good bundles: for
 ///     every member net, the patterns on which a value change there
 ///     reaches the region's stem. Exact, because an FFR has no
@@ -274,9 +271,8 @@ class WidePropagator {
 ///     & stem observability: the faulty machine differs from the good one
 ///     beyond the stem exactly on the lanes where the effect reaches the
 ///     stem, and there it looks like the good machine with the stem
-///     complemented. Then (5a) drop/detection accounting and (5b) the
-///     deferred activation accounting (`drop_lane` records where each
-///     class dropped, if at all) and class compaction.
+///     complemented. Then detection accounting, and under dropping the
+///     detected classes leave the region's live list.
 ///
 /// Steps 2-5 are skipped when no live class activates, and step 4 when
 /// every activated effect dies inside the region.
@@ -303,10 +299,7 @@ void SimulateFfrShardWide(const StuckAtRun& run, const WideTrim<L>& wtrim,
   std::vector<W> obs(nl.gate_count(), W::Zeros());
   std::vector<W> leader_act;
   std::vector<W> stem_local;
-  std::vector<W> member_act;   // flat, class-major within the region
-  std::vector<W> class_diff;   // per class; detection bundle of this block
-  std::vector<int> drop_lane;  // per class; L = not dropped this block
-  WideCounterPlanes<L> act_counts;
+  std::vector<W> class_diff;  // per class; detection bundle of this block
   WideCounterPlanes<L> det_counts;
 
   struct FfrWork {
@@ -339,7 +332,6 @@ void SimulateFfrShardWide(const StuckAtRun& run, const WideTrim<L>& wtrim,
         }
       } else if (wtrim.has_repeat[wbi] != 0) {
         WideReplayEntry<L>& e = replay[static_cast<std::uint32_t>(wsrc)];
-        e.acts.assign(plan.members.size(), W::Zeros());
         e.diffs.assign(plan.num_classes(), W::Zeros());
         store = &e;
       }
@@ -355,39 +347,24 @@ void SimulateFfrShardWide(const StuckAtRun& run, const WideTrim<L>& wtrim,
       EarlyExitFilterWide(tp, plan, wbi * L, counters, cls);
       if (cls.empty()) return;
 
-      member_act.clear();
-      drop_lane.assign(cls.size(), L);
       class_diff.assign(cls.size(), W::Zeros());
       if (load != nullptr) {
-        // Replay: the captured member activations and per-class detection
-        // bundles of the source block are exact here. Steps 2-4 vanish.
+        // Replay: the captured per-class detection bundles of the source
+        // block are exact here. Steps 1-4 vanish.
         for (std::size_t k = 0; k < cls.size(); ++k) {
-          const std::uint32_t ci = cls[k];
-          for (std::uint32_t mi = plan.offsets[ci]; mi < plan.offsets[ci + 1];
-               ++mi) {
-            member_act.push_back(load->acts[mi]);
-          }
-          class_diff[k] = load->diffs[ci];
+          class_diff[k] = load->diffs[cls[k]];
         }
       } else {
-        // 1. Activation bundles per member (counting deferred — the drop
-        // lanes are not known yet), leader activation per class.
+        // 1. Leader activation per class (one faulty function per class).
         leader_act.assign(cls.size(), W::Zeros());
         W any_act = W::Zeros();
         for (std::size_t k = 0; k < cls.size(); ++k) {
-          const std::uint32_t mbegin = plan.offsets[cls[k]];
-          const std::uint32_t mend = plan.offsets[cls[k] + 1];
-          for (std::uint32_t mi = mbegin; mi < mend; ++mi) {
-            const Fault& f = faults[plan.members[mi]];
-            const NetId site_net = f.pin == Fault::kOutputPin
-                                       ? f.gate
-                                       : nl.gate(f.gate).fanin[f.pin];
-            const W stuck = f.sa1 ? W::Ones() : W::Zeros();
-            const W act = (good[site_net] ^ stuck) & valid;
-            if (store != nullptr) store->acts[mi] = act;
-            member_act.push_back(act);
-            if (mi == mbegin) leader_act[k] = act;
-          }
+          const Fault& f = faults[plan.members[plan.offsets[cls[k]]]];
+          const NetId site_net = f.pin == Fault::kOutputPin
+                                     ? f.gate
+                                     : nl.gate(f.gate).fanin[f.pin];
+          const W stuck = f.sa1 ? W::Ones() : W::Zeros();
+          leader_act[k] = (good[site_net] ^ stuck) & valid;
           any_act |= leader_act[k];
         }
 
@@ -484,11 +461,16 @@ void SimulateFfrShardWide(const StuckAtRun& run, const WideTrim<L>& wtrim,
         }
       }
 
-      // 5a. Detection accounting and drop lanes.
+      // 5. Detection accounting; under dropping a detected class leaves
+      // the region's live list (compacted in place: writes trail reads).
+      std::size_t kept = 0;
       for (std::size_t k = 0; k < cls.size(); ++k) {
         const std::uint32_t ci = cls[k];
         const W diff = class_diff[k];
-        if (diff.IsZero()) continue;
+        if (diff.IsZero()) {
+          cls[kept++] = ci;
+          continue;
+        }
         const std::uint32_t mbegin = plan.offsets[ci];
         const std::uint32_t mend = plan.offsets[ci + 1];
         const int first_bit = diff.FirstSetBit();
@@ -505,30 +487,12 @@ void SimulateFfrShardWide(const StuckAtRun& run, const WideTrim<L>& wtrim,
         }
         if (run.options.drop_detected) {
           result.detects_per_pattern[first_pattern] += mend - mbegin;
-          drop_lane[k] = first_bit / 64;
         } else {
           det_counts.AddWeighted(diff, mend - mbegin);
+          cls[kept++] = ci;
         }
       }
-
-      // 5b. Deferred activation accounting at 64-pattern granularity, then
-      // class compaction.
-      std::size_t mo = 0;
-      for (std::size_t k = 0; k < cls.size(); ++k) {
-        const W mask = drop_lane[k] >= L - 1
-                           ? W::Ones()
-                           : W::LaneMaskThrough(drop_lane[k]);
-        const std::uint32_t num_members =
-            plan.offsets[cls[k] + 1] - plan.offsets[cls[k]];
-        for (std::uint32_t m = 0; m < num_members; ++m) {
-          act_counts.Add(member_act[mo++] & mask);
-        }
-      }
-      std::size_t cw2 = 0;
-      for (std::size_t k = 0; k < cls.size(); ++k) {
-        if (drop_lane[k] >= L) cls[cw2++] = cls[k];
-      }
-      cls.resize(cw2);
+      cls.resize(kept);
     };
 
     std::size_t gw = 0;  // compaction write index over `work`
@@ -539,7 +503,6 @@ void SimulateFfrShardWide(const StuckAtRun& run, const WideTrim<L>& wtrim,
       ++gw;
     }
     work.resize(gw);
-    act_counts.ExpandInto(&result.activates_per_pattern[base]);
     det_counts.ExpandInto(&result.detects_per_pattern[base]);
   }
 }
@@ -574,7 +537,6 @@ void SimulateTransitionShardWide(const TransitionRun& run,
   }
 
   WidePropagator<L> prop(nl);
-  WideCounterPlanes<L> act_counts;
   WideCounterPlanes<L> det_counts;
 
   for (std::size_t base = 0; base < run.patterns.size(); base += 64 * L) {
@@ -616,7 +578,6 @@ void SimulateTransitionShardWide(const TransitionRun& run,
         }
       } else if (wtrim.has_repeat[wbi] != 0) {
         WideReplayEntry<L>& e = replay[static_cast<std::uint32_t>(wsrc)];
-        e.acts.assign(faults.size(), W::Zeros());
         e.diffs.assign(faults.size(), W::Zeros());
         e.carry_in.assign(faults.size(), 0);
         e.last_bit.assign(faults.size(), 0);
@@ -642,40 +603,28 @@ void SimulateTransitionShardWide(const TransitionRun& run,
       // is carry-independent (last valid site bit), so the history still
       // advances on a hit. A mismatch recomputes against the source
       // block's good values — identical on every net that matters.
-      W act;
       W diff = W::Zeros();
-      bool replayed = false;
       if (load != nullptr && load->carry_in[fi] == prev_site_bit[fi]) {
-        act = load->acts[fi];
         diff = load->diffs[fi];
         prev_site_bit[fi] = load->last_bit[fi];
-        replayed = true;
       } else {
         const NetId site_net =
             f.pin == Fault::kOutputPin ? f.gate : g.fanin[f.pin];
         const W site = good[site_net];
 
         const W launch = site.ShiftLeftOneCarry(prev_site_bit[fi] != 0);
-        if (store != nullptr) store->carry_in[fi] = prev_site_bit[fi];
-        prev_site_bit[fi] = site.Bit(count - 1) ? 1 : 0;
-
-        act = (f.sa1 ? launch : ~launch) & (site ^ stuck) & valid;
+        const std::uint8_t carry_out = site.Bit(count - 1) ? 1 : 0;
         if (store != nullptr) {
-          store->acts[fi] = act;
-          store->last_bit[fi] = prev_site_bit[fi];
+          store->carry_in[fi] = prev_site_bit[fi];
+          store->last_bit[fi] = carry_out;
         }
-      }
-      const auto count_act = [&](int hi_lane) {
-        const W mask =
-            hi_lane >= L - 1 ? W::Ones() : W::LaneMaskThrough(hi_lane);
-        act_counts.Add(act & mask);
-      };
-      if (act.IsZero()) {
-        live[w++] = fi;
-        continue;
-      }
+        prev_site_bit[fi] = carry_out;
 
-      if (!replayed) {
+        const W act = (f.sa1 ? launch : ~launch) & (site ^ stuck) & valid;
+        if (act.IsZero()) {
+          live[w++] = fi;
+          continue;
+        }
         // The late value is a stuck-at of the initial value on the capture
         // vectors.
         if (f.pin == Fault::kOutputPin) {
@@ -693,7 +642,6 @@ void SimulateTransitionShardWide(const TransitionRun& run,
       }
 
       if (diff.IsZero()) {
-        count_act(L - 1);
         live[w++] = fi;
         continue;
       }
@@ -708,14 +656,11 @@ void SimulateTransitionShardWide(const TransitionRun& run,
       }
       if (run.options.drop_detected) {
         result.detects_per_pattern[first_pattern]++;
-        count_act(first_bit / 64);
       } else {
         det_counts.Add(diff);
-        count_act(L - 1);
         live[w++] = fi;
       }
     }
-    act_counts.ExpandInto(&result.activates_per_pattern[base]);
     det_counts.ExpandInto(&result.detects_per_pattern[base]);
     live.resize(w);
     if (live.empty() && run.options.drop_detected) break;

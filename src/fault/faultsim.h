@@ -3,11 +3,12 @@
 // This implements the paper's "optimized GL fault simulation": the target
 // module is fault-simulated in isolation against the per-cc test patterns
 // captured from the PTP execution, with fault observability at the module's
-// output ports (module-level observability). The simulator records, for
-// every pattern, how many faults it activates and how many it detects —
-// exactly the contents of the paper's Fault Sim Report — and supports fault
-// dropping both within a run and across runs (cross-PTP dropping via the
-// persistent fault-list mask).
+// output ports (module-level observability). The simulator records, per
+// fault, the first pattern that detects it and, per pattern, how many
+// faults it detects — what the paper's Fault Sim Report feeds into
+// labeling (an instruction is essential iff its patterns detect a fault) —
+// and supports fault dropping both within a run and across runs (cross-PTP
+// dropping via the persistent fault-list mask).
 //
 // There is one engine (fault/engine_wide.h): 256 patterns per propagation
 // block, stuck-at classes clustered by fanout-free region with one
@@ -51,8 +52,8 @@ struct FaultSimOptions {
   int num_threads = 1;
 
   /// Propagate one representative per structural equivalence class (see
-  /// fault/collapse.h) and expand detections to every member. Activation is
-  /// still computed per member, so the report is bit-identical to the
+  /// fault/collapse.h) and expand detections to every member. Members share
+  /// the faulty function, so the report is bit-identical to the
   /// collapse=false engine; only the propagation work shrinks. Stuck-at
   /// only: transition faults are never collapsed.
   bool collapse = true;
@@ -99,10 +100,6 @@ struct FaultSimResult {
   /// Per pattern: number of faults detected at that pattern. With dropping
   /// this counts first detections only.
   std::vector<std::uint32_t> detects_per_pattern;
-
-  /// Per pattern: number of (not-yet-dropped) faults whose site was
-  /// activated (good value differs from the stuck value) by that pattern.
-  std::vector<std::uint32_t> activates_per_pattern;
 
   /// Faults detected in this run.
   std::size_t num_detected = 0;

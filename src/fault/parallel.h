@@ -14,8 +14,8 @@
 //    propagation history;
 //  * dropping fault f (after its first detection) changes only fault f's
 //    contribution to later blocks, never another fault's;
-//  * `detects_per_pattern` / `activates_per_pattern` are sums of per-fault
-//    indicator counts, and integer addition is order-independent.
+//  * `detects_per_pattern` is a sum of per-fault indicator counts, and
+//    integer addition is order-independent.
 //
 // Summing shard histograms in (pattern, fault-id) order therefore replays
 // the serial drop-ordered accounting bit-for-bit, for any shard count and
@@ -190,7 +190,7 @@ inline void AbortIfCancelled(const FaultSimOptions& options) {
   }
 }
 
-/// An empty report with first_detect / per-pattern histograms / mask sized
+/// An empty report with first_detect / detection histogram / mask sized
 /// for `num_faults` x `num_patterns`.
 FaultSimResult InitFaultSimResult(std::size_t num_faults,
                                   std::size_t num_patterns);
@@ -198,7 +198,7 @@ FaultSimResult InitFaultSimResult(std::size_t num_faults,
 /// Deterministic sharded merge (see the file comment for why this equals
 /// the serial result exactly): shard fault ids are disjoint, so
 /// first_detect / detected_mask scatter without conflicts and the
-/// per-pattern histograms sum.
+/// detection histograms sum.
 void MergeShardResults(const std::vector<FaultSimResult>& shards,
                        FaultSimResult& out);
 

@@ -8,13 +8,14 @@
 //    and its detection word (its output diff, confined to
 //    OutputCone(site gate)) are functions of exactly those inputs, so blocks with equal
 //    fingerprints have equal activation and detection words for every
-//    fault of the run: replaying the cached words is exact, not heuristic.
+//    fault of the run: replaying the cached detection words is exact, not
+//    heuristic.
 //  * the early-exit prepass: per site net, the last block holding a 0 / a
 //    1 (stuck-at) or a falling / rising launch-capture pair (transition,
 //    with the engines' exact cross-block carry semantics), folded into a
 //    per-class / per-fault last-activating-block bound. diff ⊆ activation
 //    pointwise in both models, so a class past its bound contributes
-//    nothing — no activation counts, no detections — to any later block.
+//    nothing — no detections — to any later block.
 #include <algorithm>
 #include <cstdlib>
 #include <map>

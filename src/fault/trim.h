@@ -8,7 +8,7 @@
 //  1. pattern-block dedup — each 64-pattern block is fingerprinted over the
 //     nets that feed the live fault cone; a repeated block skips good- and
 //     faulty-machine evaluation entirely and replays the cached per-class
-//     activation/detection words. The replay cache is keyed pre-drop and
+//     detection words. The replay cache is keyed pre-drop and
 //     masked by the current live set, so a replayed block drops exactly the
 //     faults the original block would have.
 //  2. per-fault early-exit — a cheap activation prepass over the good
@@ -38,7 +38,7 @@ namespace gpustl::fault {
 /// toggleable for ablation (bench_ablation_faultsim's trim axis).
 struct TrimOptions {
   /// Fingerprint 64-pattern input blocks (over the nets feeding the live
-  /// cone) and replay cached activation/detection words on a repeat.
+  /// cone) and replay cached detection words on a repeat.
   bool dedup_blocks = true;
 
   /// Compact classes out of the live list once their remaining pattern

@@ -6,11 +6,10 @@
 // lane-wise bitwise operators — exactly the operations cell evaluation,
 // activation, observability and detection masks need — written as
 // fixed-trip lane loops the compiler vectorizes at -O3. WideCounterPlanes
-// is the bit-sliced per-pattern counter both the engine and the skip-mask
-// replay (fault/replay.cpp) accumulate their histograms with.
+// is the bit-sliced per-pattern counter the engine accumulates its no-drop
+// detection histogram with.
 //
-// Internal header — include from src/fault/engine_wide.h and
-// src/fault/replay.cpp only.
+// Internal header — include from src/fault/engine_wide.h only.
 #pragma once
 
 #include <cstdint>
@@ -87,16 +86,6 @@ struct alignas(sizeof(std::uint64_t) * L) Wide {
   /// Bit at pattern index `p` within the block.
   bool Bit(int p) const { return ((lane[p / 64] >> (p % 64)) & 1) != 0; }
 
-  /// Ones in every lane <= `hi_lane`, zeros above. The drop-boundary mask:
-  /// activation is accounted at 64-pattern granularity, so when a class
-  /// drops, its final (partial) block contribution covers the whole
-  /// 64-pattern sub-block that detected it — lane hi_lane inclusive.
-  static Wide LaneMaskThrough(int hi_lane) {
-    Wide w;
-    for (int k = 0; k < L; ++k) w.lane[k] = k <= hi_lane ? ~0ull : 0ull;
-    return w;
-  }
-
   /// Validity mask for a block holding `count` patterns (ragged tail:
   /// full lanes, then one partial lane, then zero lanes).
   static Wide ValidMask(int count) {
@@ -135,15 +124,14 @@ struct alignas(sizeof(std::uint64_t) * L) Wide {
 };
 
 /// Carry-save per-pattern counter: accumulates {0,1}-valued bundles (and
-/// small integer weights) into bit-plane vertical counters, so the
-/// per-pattern histograms cost O(log n) bundle ops per contribution instead
+/// small integer weights) into bit-plane vertical counters, so the no-drop
+/// detection histogram costs O(log n) bundle ops per contribution instead
 /// of one counter increment per SET BIT. The per-bit expansion happens once
 /// per plane per block — per-bit accounting is the one width-independent
 /// cost in the engine (a 64-bit and a 256-bit word walk the same set bits),
-/// so without this the histograms cap the SIMD speedup well below the
+/// so without this the histogram caps the SIMD speedup well below the
 /// propagation win (Amdahl). The sums are exact; only the association
-/// order changes, and integer addition is associative. The same holds for
-/// the replay's activation pass, which is nothing BUT this accounting.
+/// order changes, and integer addition is associative.
 template <int L>
 struct WideCounterPlanes {
   std::vector<Wide<L>> planes;  // planes[j] bit p set => p contributes 2^j

@@ -3,37 +3,19 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 
 #include "common/hash.h"
 #include "distrib/units.h"
 #include "net/net.h"
+#include "store/result_store.h"
 
 namespace gpustl::net {
 
 namespace fs = std::filesystem;
 
 namespace {
-
-constexpr std::size_t kEntryHeaderBytes = 4 + 4 + 16 + 8 + 16;
-
-std::uint32_t GetU32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(p[i]);
-  }
-  return v;
-}
-
-std::uint64_t GetU64(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(p[i]);
-  }
-  return v;
-}
 
 service::Json ErrorReply(std::string error) {
   service::Json reply;
@@ -46,33 +28,6 @@ service::Json OkReply() {
   service::Json reply;
   reply.Set("op", "ok");
   return reply;
-}
-
-/// Validates an uploaded GSRE entry against the claimed key: header
-/// magic/version, embedded key, declared payload size, and payload
-/// checksum (same "gpustl-entry-v1" domain the store writes). Returns an
-/// empty string when the bytes are a well-formed entry for `key`.
-std::string ValidateEntry(const std::string& bytes, const Hash128& key) {
-  if (bytes.size() < kEntryHeaderBytes) return "truncated header";
-  if (std::memcmp(bytes.data(), "GSRE", 4) != 0) return "bad magic";
-  if (GetU32(bytes.data() + 4) != 1) return "format version mismatch";
-  if (GetU64(bytes.data() + 8) != key.lo ||
-      GetU64(bytes.data() + 16) != key.hi) {
-    return "key mismatch";
-  }
-  const std::uint64_t payload_size = GetU64(bytes.data() + 24);
-  if (payload_size != bytes.size() - kEntryHeaderBytes) {
-    return "payload size mismatch";
-  }
-  Hasher128 h;
-  h.AddString("gpustl-entry-v1");
-  h.AddBytes(bytes.data() + kEntryHeaderBytes, payload_size);
-  const Hash128 sum = h.Finish();
-  if (sum.lo != GetU64(bytes.data() + 32) ||
-      sum.hi != GetU64(bytes.data() + 40)) {
-    return "checksum mismatch";
-  }
-  return "";
 }
 
 }  // namespace
@@ -161,8 +116,10 @@ service::Json BrokerSession::Publish(const service::Json& request) {
   }
   const auto bytes = HexDecode(request.GetString("data", ""));
   if (!bytes) return ErrorReply("bad entry encoding");
-  if (const std::string why = ValidateEntry(*bytes, key); !why.empty()) {
-    return ErrorReply("entry rejected: " + why);
+  // Same header check (magic, version, key, size, checksum) the store
+  // applies on every read.
+  if (const char* why = store::CheckEntry(*bytes, key); why != nullptr) {
+    return ErrorReply(std::string("entry rejected: ") + why);
   }
 
   const std::string path = cache_dir + "/" + key.ToHex() + ".gsr";

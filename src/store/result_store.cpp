@@ -15,6 +15,7 @@
 #include "common/chaos.h"
 #include "common/error.h"
 #include "common/status.h"
+#include "fault/parallel.h"
 #include "fault/transition.h"
 #include "store/io_retry.h"
 
@@ -24,8 +25,15 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr char kMagic[4] = {'G', 'S', 'R', 'E'};
-constexpr std::uint32_t kFormatVersion = 1;
+constexpr std::uint32_t kFormatVersion = 2;
 constexpr std::size_t kHeaderBytes = 4 + 4 + 16 + 8 + 16;
+
+/// Largest #faults or #patterns a payload may declare. The decoder sizes
+/// per-fault and per-pattern arrays from these counts, so a damaged count
+/// must be refused before it allocates. 2^26 is over two orders of
+/// magnitude above the largest module and pattern set here (TPGEN's
+/// 177,600 SP patterns); a larger entry is a miss, never a wrong hit.
+constexpr std::uint64_t kMaxCount = std::uint64_t{1} << 26;
 
 void PutU32(std::string& out, std::uint32_t v) {
   for (int k = 0; k < 4; ++k) out.push_back(static_cast<char>(v >> (8 * k)));
@@ -42,9 +50,10 @@ class Reader {
   explicit Reader(std::string_view data) : data_(data) {}
 
   bool Ok() const { return ok_; }
-  std::size_t pos() const { return pos_; }
+  std::size_t remaining() const { return data_.size() - pos_; }
   bool AtEnd() const { return pos_ == data_.size(); }
 
+  std::uint8_t U8() { return static_cast<std::uint8_t>(Raw(1)); }
   std::uint32_t U32() { return static_cast<std::uint32_t>(Raw(4)); }
   std::uint64_t U64() { return Raw(8); }
 
@@ -80,7 +89,7 @@ class Reader {
 
 Hash128 Checksum(std::string_view payload) {
   Hasher128 h;
-  h.AddString("gpustl-entry-v1");
+  h.AddString("gpustl-entry-v2");
   h.AddBytes(payload.data(), payload.size());
   return h.Finish();
 }
@@ -147,51 +156,89 @@ std::string ResultStore::EntryPath(const StoreKey& key) const {
   return (fs::path(dir_) / (key.ToHex() + ".gsr")).string();
 }
 
+const char* CheckEntry(std::string_view data, const StoreKey& key,
+                       std::string_view* payload) {
+  Reader r(data);
+  if (data.size() < kHeaderBytes) return "truncated header";
+  if (!r.Expect(kMagic, 4)) return "bad magic";
+  if (r.U32() != kFormatVersion) return "format version mismatch";
+  const std::uint64_t key_lo = r.U64();
+  const std::uint64_t key_hi = r.U64();
+  const std::uint64_t payload_size = r.U64();
+  const std::uint64_t sum_lo = r.U64();
+  const std::uint64_t sum_hi = r.U64();
+  if (key_lo != key.lo || key_hi != key.hi) return "key mismatch";
+  if (data.size() - kHeaderBytes != payload_size) {
+    return "payload size mismatch";
+  }
+  const std::string_view body = data.substr(kHeaderBytes);
+  const Hash128 sum = Checksum(body);
+  if (sum.lo != sum_lo || sum.hi != sum_hi) return "checksum mismatch";
+  if (payload != nullptr) *payload = body;
+  return nullptr;
+}
+
 std::string ResultStore::EncodeResult(const fault::FaultSimResult& result) {
+  const std::size_t num_patterns = result.detects_per_pattern.size();
+  std::vector<std::uint32_t> histogram(num_patterns, 0);
+  std::string pairs;
+  std::uint64_t num_pairs = 0;
+  for (std::size_t f = 0; f < result.first_detect.size(); ++f) {
+    const std::uint32_t fd = result.first_detect[f];
+    if (fd == fault::FaultSimResult::kNotDetected) continue;
+    PutU32(pairs, static_cast<std::uint32_t>(f));
+    PutU32(pairs, fd);
+    if (fd < num_patterns) ++histogram[fd];
+    ++num_pairs;
+  }
+  // Dropped runs count first detections only, so their histogram is the
+  // one the decoder derives; other runs store theirs explicitly.
+  const bool explicit_detects = histogram != result.detects_per_pattern;
+
   std::string out;
   PutU64(out, result.first_detect.size());
-  for (const std::uint32_t v : result.first_detect) PutU32(out, v);
-  PutU64(out, result.detects_per_pattern.size());
-  for (const std::uint32_t v : result.detects_per_pattern) PutU32(out, v);
-  for (const std::uint32_t v : result.activates_per_pattern) PutU32(out, v);
-  PutU64(out, result.num_detected);
-  PutU64(out, result.detected_mask.size());
-  for (const std::uint64_t w : result.detected_mask.Words()) PutU64(out, w);
+  PutU64(out, num_patterns);
+  PutU64(out, num_pairs);
+  out += pairs;
+  out.push_back(explicit_detects ? 1 : 0);
+  if (explicit_detects) {
+    for (const std::uint32_t v : result.detects_per_pattern) PutU32(out, v);
+  }
   return out;
 }
 
 bool ResultStore::DecodeResult(std::string_view payload,
                                fault::FaultSimResult* out) {
   Reader r(payload);
-  fault::FaultSimResult res;
-
   const std::uint64_t num_faults = r.U64();
-  if (!r.Ok() || num_faults > payload.size()) return false;  // size sanity
-  res.first_detect.resize(num_faults);
-  for (std::uint64_t i = 0; i < num_faults; ++i) res.first_detect[i] = r.U32();
-
   const std::uint64_t num_patterns = r.U64();
-  if (!r.Ok() || num_patterns > payload.size()) return false;
-  res.detects_per_pattern.resize(num_patterns);
-  for (std::uint64_t i = 0; i < num_patterns; ++i) {
-    res.detects_per_pattern[i] = r.U32();
+  const std::uint64_t num_pairs = r.U64();
+  // Every count is bounded before anything is sized by it.
+  if (!r.Ok() || num_faults > kMaxCount || num_patterns > kMaxCount ||
+      num_pairs > num_faults || num_pairs > r.remaining() / 8) {
+    return false;
   }
-  res.activates_per_pattern.resize(num_patterns);
-  for (std::uint64_t i = 0; i < num_patterns; ++i) {
-    res.activates_per_pattern[i] = r.U32();
+  fault::FaultSimResult res =
+      fault::InitFaultSimResult(num_faults, num_patterns);
+  std::uint64_t next_fault = 0;  // pairs are strictly ascending by fault
+  for (std::uint64_t i = 0; i < num_pairs; ++i) {
+    const std::uint32_t f = r.U32();
+    const std::uint32_t fd = r.U32();
+    if (f < next_fault || f >= num_faults || fd >= num_patterns) return false;
+    next_fault = std::uint64_t{f} + 1;
+    res.first_detect[f] = fd;
+    res.detected_mask.Set(f, true);
+    ++res.detects_per_pattern[fd];
   }
+  res.num_detected = num_pairs;
 
-  res.num_detected = r.U64();
-
-  const std::uint64_t mask_bits = r.U64();
-  if (!r.Ok() || mask_bits != num_faults) return false;
-  res.detected_mask.Resize(mask_bits);
-  auto& words = res.detected_mask.MutableWords();
-  for (std::uint64_t w = 0; w < words.size(); ++w) words[w] = r.U64();
-
-  if (!r.Ok() || !r.AtEnd()) return false;
-  // Internal consistency: the scalar count must match the mask.
-  if (res.num_detected != res.detected_mask.Count()) return false;
+  const std::uint8_t mode = r.U8();
+  if (!r.Ok() || mode > 1) return false;
+  if (mode == 1) {
+    if (r.remaining() != num_patterns * 4) return false;
+    for (std::uint32_t& v : res.detects_per_pattern) v = r.U32();
+  }
+  if (!r.AtEnd()) return false;
   *out = std::move(res);
   return true;
 }
@@ -222,35 +269,11 @@ std::optional<fault::FaultSimResult> ResultStore::Load(const StoreKey& key) {
     }
   }
 
-  const char* why = nullptr;
   fault::FaultSimResult result;
-  Reader r(data);
-  if (data.size() < kHeaderBytes) {
-    why = "truncated header";
-  } else if (!r.Expect(kMagic, 4)) {
-    why = "bad magic";
-  } else if (r.U32() != kFormatVersion) {
-    why = "format version mismatch";
-  } else {
-    const std::uint64_t key_lo = r.U64();
-    const std::uint64_t key_hi = r.U64();
-    const std::uint64_t payload_size = r.U64();
-    const std::uint64_t sum_lo = r.U64();
-    const std::uint64_t sum_hi = r.U64();
-    if (key_lo != key.lo || key_hi != key.hi) {
-      why = "key mismatch";
-    } else if (data.size() - kHeaderBytes != payload_size) {
-      why = "payload size mismatch";
-    } else {
-      const std::string_view payload(data.data() + kHeaderBytes,
-                                     payload_size);
-      const Hash128 sum = Checksum(payload);
-      if (sum.lo != sum_lo || sum.hi != sum_hi) {
-        why = "checksum mismatch";
-      } else if (!DecodeResult(payload, &result)) {
-        why = "undecodable payload";
-      }
-    }
+  std::string_view payload;
+  const char* why = CheckEntry(data, key, &payload);
+  if (why == nullptr && !DecodeResult(payload, &result)) {
+    why = "undecodable payload";
   }
 
   if (why != nullptr) {
@@ -449,8 +472,7 @@ fault::FaultSimResult SimulateWithStore(ResultStore* store,
                         model);
   if (auto cached = store->Load(key)) {
     if (cached->first_detect.size() == faults.size() &&
-        cached->detects_per_pattern.size() == patterns.size() &&
-        cached->activates_per_pattern.size() == patterns.size()) {
+        cached->detects_per_pattern.size() == patterns.size()) {
       return std::move(*cached);
     }
     store->Discard(key);

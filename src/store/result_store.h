@@ -11,16 +11,19 @@
 // Entry file `<dir>/<key-hex32>.gsr`, little-endian (docs/FORMATS.md):
 //
 //   "GSRE"  magic
-//   u32     format version (1)
+//   u32     format version (2)
 //   u64 u64 key (lo, hi) — must match the file's own address
 //   u64     payload size in bytes
 //   u64 u64 payload checksum (Hash128 lo, hi)
-//   bytes   payload: the serialized FaultSimResult
+//   bytes   payload: the FaultSimResult, detections stored sparsely as
+//           ascending (fault, first_detect) pairs; the mask, the count
+//           and a dropped run's detection histogram are derived on decode
 //
 // Corrupt, truncated, version-mismatched or mis-keyed entries are detected
 // by construction, counted in stats().bad_entries, logged to stderr and
 // treated as a miss — the caller recomputes and overwrites. A cache can
-// therefore never make a run wrong, only slow.
+// therefore never make a run wrong, only slow; an entry of an older format
+// version is such a miss.
 //
 // Writes go through a unique temp file + atomic rename, so a killed
 // campaign leaves either the old entry or the new one, never a torn file.
@@ -120,7 +123,11 @@ class ResultStore {
     return stats_;
   }
 
-  /// Payload codec, exposed for tests and bench tooling.
+  /// Payload codec, exposed for tests and bench tooling. DecodeResult
+  /// accepts only what EncodeResult can produce for a consistent result:
+  /// it returns false on a count out of range, a fault index out of range,
+  /// repeated or out of order, a first detection past the patterns, an
+  /// unknown mode byte, or truncated or trailing bytes.
   static std::string EncodeResult(const fault::FaultSimResult& result);
   static bool DecodeResult(std::string_view payload,
                            fault::FaultSimResult* out);
@@ -145,6 +152,13 @@ class ResultStore {
   std::mutex budget_mu_;
   std::atomic<std::uint64_t> tmp_seq_{0};
 };
+
+/// Checks the header of entry bytes `data` against `key`: magic, format
+/// version, key, payload size and checksum. Returns nullptr and sets
+/// `*payload` (nullable) when the entry is well formed, else the reason.
+/// The store's reads and the net broker's uploads both go through it.
+const char* CheckEntry(std::string_view data, const StoreKey& key,
+                       std::string_view* payload = nullptr);
 
 /// The single choke point callers use: consult `store` (nullable = caching
 /// disabled), fall back to the live engine, write back on miss. Cached

@@ -97,7 +97,6 @@ inline void ExpectIdentical(const FaultSimResult& want,
                             const std::string& what) {
   EXPECT_EQ(want.first_detect, got.first_detect) << what;
   EXPECT_EQ(want.detects_per_pattern, got.detects_per_pattern) << what;
-  EXPECT_EQ(want.activates_per_pattern, got.activates_per_pattern) << what;
   EXPECT_EQ(want.num_detected, got.num_detected) << what;
   EXPECT_TRUE(want.detected_mask == got.detected_mask) << what;
 }

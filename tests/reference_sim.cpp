@@ -62,7 +62,6 @@ FaultSimResult Simulate(const Netlist& nl, const PatternSet& patterns,
   FaultSimResult r;
   r.first_detect.assign(faults.size(), FaultSimResult::kNotDetected);
   r.detects_per_pattern.assign(patterns.size(), 0);
-  r.activates_per_pattern.assign(patterns.size(), 0);
   r.detected_mask = BitVec(faults.size(), false);
 
   // Transition launch history: the site value under the previous pattern.
@@ -95,9 +94,6 @@ FaultSimResult Simulate(const Netlist& nl, const PatternSet& patterns,
         const std::uint64_t launch = (good[site] << 1) | prev_site[fi];
         prev_site[fi] = (good[site] >> (count - 1)) & 1;
         act &= f.sa1 ? launch : ~launch;
-      }
-      for (std::uint64_t bits = act; bits != 0; bits &= bits - 1) {
-        ++r.activates_per_pattern[base + LowestSetBit(bits)];
       }
       if (act == 0) continue;
 
@@ -141,7 +137,6 @@ FaultSimResult ReferenceTransitionFaultSim(const Netlist& nl,
 bool SameFaultSimResult(const FaultSimResult& a, const FaultSimResult& b) {
   return a.first_detect == b.first_detect &&
          a.detects_per_pattern == b.detects_per_pattern &&
-         a.activates_per_pattern == b.activates_per_pattern &&
          a.num_detected == b.num_detected && a.detected_mask == b.detected_mask;
 }
 

@@ -11,9 +11,6 @@
 //
 // The result is the engine's full FaultSimResult, including its
 // accounting rules:
-//  * `activates_per_pattern` counts a fault on every pattern of every
-//    64-pattern block up to and including the block of its first
-//    detection when dropping (then it is dropped), else on every pattern;
 //  * `detects_per_pattern` counts first detections only when dropping,
 //    else every detecting pattern;
 //  * skipped faults are never simulated, never counted, never detected;

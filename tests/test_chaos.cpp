@@ -84,7 +84,6 @@ PatternSet DuPatterns(int n = 32) {
 void ExpectSameResult(const FaultSimResult& a, const FaultSimResult& b) {
   EXPECT_EQ(a.first_detect, b.first_detect);
   EXPECT_EQ(a.detects_per_pattern, b.detects_per_pattern);
-  EXPECT_EQ(a.activates_per_pattern, b.activates_per_pattern);
   EXPECT_EQ(a.num_detected, b.num_detected);
   EXPECT_EQ(a.detected_mask, b.detected_mask);
 }

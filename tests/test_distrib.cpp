@@ -57,7 +57,6 @@ void ExpectSameResult(const fault::FaultSimResult& a,
                       const fault::FaultSimResult& b) {
   EXPECT_EQ(a.first_detect, b.first_detect);
   EXPECT_EQ(a.detects_per_pattern, b.detects_per_pattern);
-  EXPECT_EQ(a.activates_per_pattern, b.activates_per_pattern);
   EXPECT_EQ(a.num_detected, b.num_detected);
   EXPECT_EQ(a.detected_mask, b.detected_mask);
 }
@@ -133,14 +132,13 @@ TEST(ReplayTest, BitIdenticalToLiveEngineAcrossMasks) {
   masks.push_back(every_third);
   masks.push_back(detected_so_far);
 
-  fault::GoodBlockCache good(du, patterns);
   for (const BitVec& skip : masks) {
     const fault::FaultSimResult live =
         fault::RunFaultSim(du, patterns, faults, &skip, drop);
     const std::uint64_t replays_before =
         fault::GlobalReplayCounters().replays.load();
     const fault::FaultSimResult replayed =
-        fault::ReplaySkipFromFull(du, faults, full, skip, good);
+        fault::ReplaySkipFromFull(full, skip);
     ExpectSameResult(live, replayed);
     EXPECT_EQ(fault::GlobalReplayCounters().replays.load(), replays_before + 1);
   }
@@ -151,8 +149,8 @@ TEST(ReplayTest, BitIdenticalToLiveEngineAcrossMasks) {
   threaded.num_threads = 3;
   const fault::FaultSimResult live_threaded =
       fault::RunFaultSim(du, patterns, faults, &every_third, threaded);
-  ExpectSameResult(live_threaded, fault::ReplaySkipFromFull(
-                                      du, faults, full, every_third, good));
+  ExpectSameResult(live_threaded,
+                   fault::ReplaySkipFromFull(full, every_third));
 }
 
 TEST(ReplayTest, ShapeMismatchThrowsNeverGuesses) {
@@ -165,24 +163,15 @@ TEST(ReplayTest, ShapeMismatchThrowsNeverGuesses) {
   const fault::FaultSimResult full =
       fault::RunFaultSim(du, patterns, faults, /*skip=*/nullptr, drop);
 
-  fault::GoodBlockCache good(du, patterns);
   const BitVec wrong_size(faults.size() + 1, false);
-  EXPECT_THROW(fault::ReplaySkipFromFull(du, faults, full, wrong_size, good),
-               Error);
+  EXPECT_THROW(fault::ReplaySkipFromFull(full, wrong_size), Error);
 
-  // Good blocks of other patterns, and a first detection past the
-  // patterns (a store entry is read from disk), are refused too.
+  // A first detection past the patterns (a store entry is read from disk)
+  // is refused too.
   const BitVec skip(faults.size(), false);
-  const netlist::PatternSet other = TracedPatterns(
-      stl::GenerateImm(30, 11), trace::TargetModule::kDecoderUnit);
-  ASSERT_NE((other.size() + 63) / 64, (patterns.size() + 63) / 64);
-  fault::GoodBlockCache other_good(du, other);
-  EXPECT_THROW(fault::ReplaySkipFromFull(du, faults, full, skip, other_good),
-               Error);
   fault::FaultSimResult past_end = full;
   past_end.first_detect[0] = static_cast<std::uint32_t>(patterns.size());
-  EXPECT_THROW(fault::ReplaySkipFromFull(du, faults, past_end, skip, good),
-               Error);
+  EXPECT_THROW(fault::ReplaySkipFromFull(past_end, skip), Error);
 }
 
 // --- Work-unit codec --------------------------------------------------------

@@ -167,18 +167,6 @@ TEST(FaultSim, SkipMaskExcludesFaults) {
   EXPECT_FALSE(res.detected_mask.Get(1));
 }
 
-TEST(FaultSim, ActivationCountsReported) {
-  const Netlist nl = AndCircuit();
-  PatternSet pats(2);
-  pats.Add64(0, 0b00);
-  pats.Add64(1, 0b11);
-  // y SA0 is activated only when y would be 1 (pattern 11).
-  const std::vector<Fault> faults = {{2, Fault::kOutputPin, false}};
-  const auto res = RunFaultSim(nl, pats, faults);
-  EXPECT_EQ(res.activates_per_pattern[0], 0u);
-  EXPECT_EQ(res.activates_per_pattern[1], 1u);
-}
-
 TEST(FaultSim, CoverageOnRandomAdderPatterns) {
   // An 8-bit adder with random patterns should reach high coverage of its
   // collapsed fault list — the generic sanity sweep.

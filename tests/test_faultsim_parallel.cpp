@@ -230,12 +230,10 @@ TEST(FaultSimParallel, MergeScattersDisjointShards) {
   a.detected_mask.Set(0, true);
   a.num_detected = 1;
   a.detects_per_pattern = {0, 0, 1};
-  a.activates_per_pattern = {1, 0, 1};
   b.first_detect[3] = 0;
   b.detected_mask.Set(3, true);
   b.num_detected = 1;
   b.detects_per_pattern = {1, 0, 0};
-  b.activates_per_pattern = {1, 1, 0};
 
   FaultSimResult out = InitFaultSimResult(4, 3);
   MergeShardResults({a, b}, out);
@@ -244,7 +242,6 @@ TEST(FaultSimParallel, MergeScattersDisjointShards) {
                                         FaultSimResult::kNotDetected, 0}));
   EXPECT_EQ(out.num_detected, 2u);
   EXPECT_EQ(out.detects_per_pattern, (std::vector<std::uint32_t>{1, 0, 1}));
-  EXPECT_EQ(out.activates_per_pattern, (std::vector<std::uint32_t>{2, 1, 1}));
   EXPECT_TRUE(out.detected_mask.Get(0));
   EXPECT_FALSE(out.detected_mask.Get(1));
   EXPECT_TRUE(out.detected_mask.Get(3));

@@ -408,14 +408,16 @@ std::string PutU64(std::uint64_t v) {
 }
 
 /// A well-formed GSRE entry for `payload`, keyed by `key` — the same
-/// layout store/result_store.cpp writes.
-std::string MakeEntryBytes(const Hash128& key, const std::string& payload) {
+/// layout store/result_store.cpp writes, at format `version` (the current
+/// one is 2).
+std::string MakeEntryBytes(const Hash128& key, const std::string& payload,
+                           std::uint32_t version = 2) {
   Hasher128 h;
-  h.AddString("gpustl-entry-v1");
+  h.AddString("gpustl-entry-v" + std::to_string(version));
   h.AddBytes(payload.data(), payload.size());
   const Hash128 sum = h.Finish();
   std::string bytes = "GSRE";
-  bytes += PutU32(1);
+  bytes += PutU32(version);
   bytes += PutU64(key.lo);
   bytes += PutU64(key.hi);
   bytes += PutU64(payload.size());
@@ -459,6 +461,15 @@ TEST(BrokerTest, PublishValidatesInstallsAndIsIdempotent) {
   Json wrong_key = publish;
   wrong_key.Set("key", other.ToHex());
   EXPECT_EQ(session->Handle(wrong_key).GetString("op"), "error");
+
+  // So is a well-formed entry of the old format version.
+  Json old_format = publish;
+  old_format.Set("key", other.ToHex());
+  old_format.Set("data", HexEncode(MakeEntryBytes(other, "payload-bytes", 1)));
+  const Json old_reply = session->Handle(old_format);
+  EXPECT_EQ(old_reply.GetString("op"), "error");
+  EXPECT_NE(old_reply.GetString("error").find("version"), std::string::npos);
+  EXPECT_FALSE(fs::exists(cache + "/" + other.ToHex() + ".gsr"));
 }
 
 TEST(BrokerTest, FetchOnEmptyPoolIsIdleAndRenewWithoutLeaseIsLost) {

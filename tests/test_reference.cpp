@@ -258,8 +258,7 @@ TEST(EngineFuzz, RandomTriplesMatchReference) {
 /// The mask shapes the replay suite checks, named: empty (a campaign's
 /// first entry), all skipped, every third fault, half of the detected
 /// faults (a late entry), and every fault not detected in block 0 — then
-/// every live fault drops in block 0, so the replay's activation pass ends
-/// there.
+/// every live fault drops in block 0.
 std::vector<std::pair<std::string, BitVec>> ReplayMasks(
     const FaultSimResult& full) {
   const std::size_t n = full.first_detect.size();
@@ -278,9 +277,8 @@ std::vector<std::pair<std::string, BitVec>> ReplayMasks(
           {"block0-only", block0_only}};
 }
 
-/// Replays every mask of ReplayMasks at threads 1/2/5, each over a fresh
-/// good-block cache (so the lazy block builds run under the shards), and
-/// holds each result to the reference's skip-masked run.
+/// Replays every mask of ReplayMasks and holds each result to the
+/// reference's skip-masked run.
 void ExpectReplayMatchesReference(const Netlist& nl, const PatternSet& pats,
                                   const std::vector<Fault>& faults,
                                   const std::string& what) {
@@ -289,14 +287,8 @@ void ExpectReplayMatchesReference(const Netlist& nl, const PatternSet& pats,
   for (const auto& [name, skip] : ReplayMasks(full)) {
     const FaultSimResult want =
         ReferenceFaultSim(nl, pats, faults, &skip, /*drop_detected=*/true);
-    for (const int threads : {1, 2, 5}) {
-      FaultSimOptions options;
-      options.num_threads = threads;
-      GoodBlockCache good(nl, pats);
-      ExpectIdentical(
-          want, ReplaySkipFromFull(nl, faults, full, skip, good, options),
-          what + " mask=" + name + " threads=" + std::to_string(threads));
-    }
+    ExpectIdentical(want, ReplaySkipFromFull(full, skip),
+                    what + " mask=" + name);
   }
 }
 
@@ -335,37 +327,10 @@ TEST(ReplayVsReference, TracedSpProgram) {
                                "SP patterns=" + std::to_string(pats.size()));
 }
 
-TEST(ReplayVsReference, ExpiredTokenThrowsDeadlineNeverPartial) {
-  Rng rng(0xBEC6);
-  const Netlist nl = RandomNetlist(rng, 10, 80);
-  const PatternSet pats = RandomPatterns(rng, 10, 513);
-  const auto faults = EnumerateFaults(nl);
-  const FaultSimResult full =
-      ReferenceFaultSim(nl, pats, faults, nullptr, /*drop_detected=*/true);
-  const BitVec skip(faults.size(), false);
-
-  CancelToken token;
-  token.ArmDeadline(1e-12);  // expires immediately
-  FaultSimOptions options;
-  options.cancel = &token;
-  for (const int threads : {1, 4}) {
-    options.num_threads = threads;
-    GoodBlockCache good(nl, pats);
-    EXPECT_THROW(ReplaySkipFromFull(nl, faults, full, skip, good, options),
-                 DeadlineError)
-        << "threads=" << threads;
-  }
-  token.DisarmDeadline();
-  GoodBlockCache good(nl, pats);
-  ExpectIdentical(full,
-                  ReplaySkipFromFull(nl, faults, full, skip, good, options),
-                  "disarmed token");
-}
-
 TEST(ReplayVsReference, EmptyMaskStillChecksItsInputs) {
-  // The empty mask returns the full result as is, but only after every
-  // input check: good blocks over other patterns, or a first detection
-  // past the patterns, are refused as for any other mask.
+  // The empty mask reproduces the full result, but only after every input
+  // check: a first detection past the patterns is refused as for any
+  // other mask.
   Rng rng(0xBEC7);
   const Netlist nl = RandomNetlist(rng, 10, 80);
   const PatternSet pats = RandomPatterns(rng, 10, 130);
@@ -374,18 +339,14 @@ TEST(ReplayVsReference, EmptyMaskStillChecksItsInputs) {
       ReferenceFaultSim(nl, pats, faults, nullptr, /*drop_detected=*/true);
   const BitVec empty(faults.size(), false);
 
-  GoodBlockCache other_good(nl, RandomPatterns(rng, 10, 300));
-  EXPECT_THROW(ReplaySkipFromFull(nl, faults, full, empty, other_good), Error);
-  GoodBlockCache good(nl, pats);
   FaultSimResult past_end = full;
   past_end.first_detect[0] = static_cast<std::uint32_t>(pats.size());
-  EXPECT_THROW(ReplaySkipFromFull(nl, faults, past_end, empty, good), Error);
+  EXPECT_THROW(ReplaySkipFromFull(past_end, empty), Error);
 
   const std::uint64_t replays_before = GlobalReplayCounters().replays.load();
-  ExpectIdentical(full, ReplaySkipFromFull(nl, faults, full, empty, good),
-                  "empty mask");
+  ExpectIdentical(full, ReplaySkipFromFull(full, empty), "empty mask");
   EXPECT_EQ(GlobalReplayCounters().replays.load(), replays_before + 1)
-      << "the shortcut still counts as a replay";
+      << "the empty mask still counts as a replay";
 }
 
 // --- Campaign level ---

@@ -1,6 +1,8 @@
 // Result-store subsystem tests: fingerprint stability/sensitivity, the
-// versioned entry codec, corruption fallback (bit flips, truncation,
-// version/key mismatch — never fatal, always recomputed), cached-vs-live
+// versioned entry codec (round trips over the reference simulator's
+// results, hostile-payload rejection and a deterministic mutation loop),
+// corruption fallback (bit flips, truncation, version/key mismatch, old
+// format entries — never fatal, always recomputed), cached-vs-live
 // bit-identity through Compactor, campaign checkpoint round trips, and the
 // interrupted-then-resumed ≡ uninterrupted campaign equivalence.
 #include <gtest/gtest.h>
@@ -23,11 +25,14 @@
 #include "compact/compactor.h"
 #include "compact/report.h"
 #include "compact/stl_campaign.h"
+#include "fault/parallel.h"
 #include "isa/disasm.h"
 #include "stl/generators.h"
 #include "store/checkpoint.h"
 #include "store/fingerprint.h"
 #include "store/result_store.h"
+#include "tests/fault_test_util.h"
+#include "tests/reference_sim.h"
 
 namespace gpustl::store {
 namespace {
@@ -75,9 +80,16 @@ FaultSimResult Simulate(const Netlist& nl, const PatternSet& ps,
 void ExpectSameResult(const FaultSimResult& a, const FaultSimResult& b) {
   EXPECT_EQ(a.first_detect, b.first_detect);
   EXPECT_EQ(a.detects_per_pattern, b.detects_per_pattern);
-  EXPECT_EQ(a.activates_per_pattern, b.activates_per_pattern);
   EXPECT_EQ(a.num_detected, b.num_detected);
   EXPECT_EQ(a.detected_mask, b.detected_mask);
+}
+
+void PutU32(std::string& out, std::uint32_t v) {
+  for (int k = 0; k < 4; ++k) out.push_back(static_cast<char>(v >> (8 * k)));
+}
+
+void PutU64(std::string& out, std::uint64_t v) {
+  for (int k = 0; k < 8; ++k) out.push_back(static_cast<char>(v >> (8 * k)));
 }
 
 // --- Hash128 / fingerprints -------------------------------------------------
@@ -172,25 +184,253 @@ TEST(FingerprintTest, KeySeparatesModelAndDropMode) {
 
 // --- entry codec + store ----------------------------------------------------
 
-TEST(ResultStoreTest, CodecRoundTrips) {
-  const Netlist nl = SmallNetlist();
-  const PatternSet ps = SmallPatterns();
-  const auto faults = fault::CollapsedFaultList(nl);
-  const FaultSimResult result = Simulate(nl, ps, faults);
-
-  const std::string payload = ResultStore::EncodeResult(result);
-  FaultSimResult back;
-  ASSERT_TRUE(ResultStore::DecodeResult(payload, &back));
-  ExpectSameResult(result, back);
-
-  // Any truncation must fail to decode, never crash or misread.
-  for (std::size_t cut : {std::size_t{0}, std::size_t{1}, payload.size() / 2,
-                          payload.size() - 1}) {
-    FaultSimResult ignored;
-    EXPECT_FALSE(ResultStore::DecodeResult(
-        std::string_view(payload).substr(0, cut), &ignored))
-        << "cut at " << cut;
+/// The reference simulator's results over random netlists, for every
+/// {stuck-at, transition} x {drop, no-drop} x {no mask, random mask}: the
+/// dropped ones encode their detection histogram as derived, the no-drop
+/// ones (where faults are detected repeatedly) as explicit.
+std::vector<FaultSimResult> OracleResults() {
+  using namespace fault::testutil;
+  Rng rng(0x65E2);
+  std::vector<FaultSimResult> results;
+  for (int n = 0; n < 3; ++n) {
+    const int inputs = 4 + static_cast<int>(rng.below(10));
+    const Netlist nl =
+        RandomNetlist(rng, inputs, 20 + static_cast<int>(rng.below(80)));
+    const PatternSet pats =
+        RandomPatterns(rng, inputs, 1 + static_cast<int>(rng.below(300)));
+    const std::vector<Fault> faults = fault::EnumerateFaults(nl);
+    const BitVec skip = RandomSkip(rng, faults.size(), 0.3);
+    for (const bool transition : {false, true}) {
+      for (const bool drop : {true, false}) {
+        for (const BitVec* mask : {static_cast<const BitVec*>(nullptr),
+                                   &skip}) {
+          results.push_back(
+              transition
+                  ? fault::ReferenceTransitionFaultSim(nl, pats, faults, mask,
+                                                       drop)
+                  : fault::ReferenceFaultSim(nl, pats, faults, mask, drop));
+        }
+      }
+    }
   }
+  return results;
+}
+
+/// The payload's mode byte: 0 = detection histogram derived, 1 = explicit.
+int ModeByte(const std::string& payload, const FaultSimResult& r) {
+  return static_cast<unsigned char>(payload[24 + 8 * r.num_detected]);
+}
+
+TEST(ResultStoreTest, CodecRoundTrips) {
+  std::vector<FaultSimResult> results = OracleResults();
+  const Netlist nl = SmallNetlist();
+  results.push_back(
+      Simulate(nl, SmallPatterns(), fault::CollapsedFaultList(nl)));
+  int derived = 0;
+  int explicit_detects = 0;
+  for (const FaultSimResult& r : results) {
+    const std::string payload = ResultStore::EncodeResult(r);
+    FaultSimResult back;
+    ASSERT_TRUE(ResultStore::DecodeResult(payload, &back));
+    ExpectSameResult(r, back);
+    (ModeByte(payload, r) == 0 ? derived : explicit_detects) += 1;
+
+    // Any truncation must fail to decode, never crash or misread.
+    for (std::size_t cut : {std::size_t{0}, std::size_t{1},
+                            payload.size() / 2, payload.size() - 1}) {
+      EXPECT_FALSE(ResultStore::DecodeResult(
+          std::string_view(payload).substr(0, cut), &back))
+          << "cut at " << cut;
+    }
+  }
+  EXPECT_GT(derived, 0);
+  EXPECT_GT(explicit_detects, 0);
+}
+
+/// A small hand-made result: 5 faults, 4 patterns, faults 1 and 3 detected.
+FaultSimResult TinyResult() {
+  FaultSimResult r = fault::InitFaultSimResult(5, 4);
+  r.first_detect[1] = 2;
+  r.first_detect[3] = 0;
+  r.detected_mask.Set(1, true);
+  r.detected_mask.Set(3, true);
+  r.num_detected = 2;
+  r.detects_per_pattern = {1, 0, 1, 0};
+  return r;
+}
+
+/// TinyResult's payload with its pairs, counts and tail replaced.
+std::string TinyPayload(std::uint64_t num_faults, std::uint64_t num_patterns,
+                        std::uint64_t num_pairs,
+                        const std::vector<std::uint32_t>& pairs,
+                        const std::string& tail) {
+  std::string out;
+  PutU64(out, num_faults);
+  PutU64(out, num_patterns);
+  PutU64(out, num_pairs);
+  for (const std::uint32_t v : pairs) PutU32(out, v);
+  return out + tail;
+}
+
+TEST(ResultStoreTest, DecoderRejectsHostileFields) {
+  const std::string derived(1, '\0');
+  std::string explicit_tail(1, '\1');
+  for (const std::uint32_t v : {1u, 0u, 1u, 0u}) PutU32(explicit_tail, v);
+
+  FaultSimResult back;
+  ASSERT_TRUE(ResultStore::DecodeResult(
+      TinyPayload(5, 4, 2, {1, 2, 3, 0}, derived), &back));
+  ExpectSameResult(TinyResult(), back);
+  ASSERT_TRUE(ResultStore::DecodeResult(
+      TinyPayload(5, 4, 2, {1, 2, 3, 0}, explicit_tail), &back));
+  ExpectSameResult(TinyResult(), back);
+  EXPECT_EQ(ResultStore::EncodeResult(TinyResult()),
+            TinyPayload(5, 4, 2, {1, 2, 3, 0}, derived));
+
+  const std::vector<std::pair<const char*, std::string>> hostile = {
+      {"fault index out of range", TinyPayload(5, 4, 2, {1, 2, 5, 0}, derived)},
+      {"fault index repeated", TinyPayload(5, 4, 2, {1, 2, 1, 0}, derived)},
+      {"fault index out of order", TinyPayload(5, 4, 2, {3, 0, 1, 2}, derived)},
+      {"first detection at #patterns",
+       TinyPayload(5, 4, 2, {1, 4, 3, 0}, derived)},
+      {"first detection = kNotDetected",
+       TinyPayload(5, 4, 2, {1, UINT32_MAX, 3, 0}, derived)},
+      {"pair count above #faults",
+       TinyPayload(1, 4, 2, {0, 2, 0, 0}, derived)},
+      {"pair count past the payload",
+       TinyPayload(5, 4, 3, {1, 2, 3, 0}, derived)},
+      {"#faults over the decode bound",
+       TinyPayload(std::uint64_t{1} << 40, 4, 2, {1, 2, 3, 0}, derived)},
+      {"#patterns over the decode bound",
+       TinyPayload(5, std::uint64_t{1} << 40, 2, {1, 2, 3, 0}, derived)},
+      {"mode byte 2", TinyPayload(5, 4, 2, {1, 2, 3, 0}, std::string(1, '\2'))},
+      {"mode byte missing", TinyPayload(5, 4, 2, {1, 2, 3, 0}, "")},
+      {"explicit detects short",
+       TinyPayload(5, 4, 2, {1, 2, 3, 0}, explicit_tail.substr(0, 13))},
+      {"trailing byte after derived",
+       TinyPayload(5, 4, 2, {1, 2, 3, 0}, derived + "x")},
+      {"trailing byte after explicit",
+       TinyPayload(5, 4, 2, {1, 2, 3, 0}, explicit_tail + "x")},
+  };
+  for (const auto& [what, payload] : hostile) {
+    EXPECT_FALSE(ResultStore::DecodeResult(payload, &back)) << what;
+  }
+}
+
+/// Counter-mode SplitMix64, the stream src/common/chaos.cpp draws its
+/// injection schedule from: draw i is a pure function of (seed, i).
+class SplitMix64Stream {
+ public:
+  explicit SplitMix64Stream(std::uint64_t seed) : seed_(seed) {}
+  std::uint64_t Next() {
+    std::uint64_t x = seed_ + (++draws_) * 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+  }
+  std::uint64_t Below(std::uint64_t n) { return Next() % n; }
+
+ private:
+  std::uint64_t seed_;
+  std::uint64_t draws_ = 0;
+};
+
+/// Every invariant a decoded result must hold, whatever bytes it came
+/// from. Returns a description of the first violation, or "".
+std::string Inconsistency(const FaultSimResult& r) {
+  if (r.detected_mask.size() != r.first_detect.size()) return "mask size";
+  std::size_t detected = 0;
+  for (std::size_t f = 0; f < r.first_detect.size(); ++f) {
+    const bool det = r.first_detect[f] != FaultSimResult::kNotDetected;
+    if (r.detected_mask.Get(f) != det) return "mask vs first_detect";
+    if (det && r.first_detect[f] >= r.detects_per_pattern.size()) {
+      return "first_detect past the patterns";
+    }
+    detected += det ? 1 : 0;
+  }
+  if (r.num_detected != detected) return "num_detected vs first_detect";
+  if (r.num_detected != r.detected_mask.Count()) return "num_detected vs mask";
+  return "";
+}
+
+TEST(ResultStoreTest, MutatedPayloadsFailOrDecodeConsistent) {
+  // A fixed budget of deterministic mutants per payload: bit flips,
+  // truncations, appended bytes, and edits to the three count fields, to
+  // a pair and to the mode byte. None may crash, read out of bounds (the
+  // sanitizer jobs run this) or decode to an inconsistent result.
+  constexpr int kMutantsPerPayload = 300;
+  const std::vector<FaultSimResult> results = OracleResults();
+  int rejected = 0;
+  int decoded = 0;
+  for (std::size_t ri = 0; ri < results.size(); ++ri) {
+    const std::string payload = ResultStore::EncodeResult(results[ri]);
+    const std::size_t pairs_end = 24 + 8 * results[ri].num_detected;
+    SplitMix64Stream rng(0x6D75746174ull + ri);
+    for (int m = 0; m < kMutantsPerPayload; ++m) {
+      std::string mutant = payload;
+      const auto set_u64 = [&](std::size_t at, std::uint64_t v) {
+        std::string bytes;
+        PutU64(bytes, v);
+        mutant.replace(at, 8, bytes);
+      };
+      switch (rng.Below(6)) {
+        case 0:  // 1-4 bit flips anywhere
+          for (std::uint64_t k = 0, n = 1 + rng.Below(4); k < n; ++k) {
+            const std::size_t bit = rng.Below(mutant.size() * 8);
+            mutant[bit / 8] = static_cast<char>(mutant[bit / 8] ^
+                                                (1 << (bit % 8)));
+          }
+          break;
+        case 1:  // truncation
+          mutant.resize(rng.Below(mutant.size()));
+          break;
+        case 2:  // appended bytes
+          for (std::uint64_t k = 0, n = 1 + rng.Below(8); k < n; ++k) {
+            mutant.push_back(static_cast<char>(rng.Next()));
+          }
+          break;
+        case 3: {  // a count field: #faults, #patterns or the pair count
+          const std::size_t at = 8 * rng.Below(3);
+          std::uint64_t v = 0;
+          for (int k = 0; k < 8; ++k) {
+            v |= std::uint64_t{static_cast<unsigned char>(mutant[at + k])}
+                 << (8 * k);
+          }
+          const std::uint64_t edits[] = {0,         v - 1,    v + 1,
+                                         2 * v,     v / 2,    UINT64_MAX,
+                                         rng.Next(), v ^ (1ull << rng.Below(64))};
+          set_u64(at, edits[rng.Below(std::size(edits))]);
+          break;
+        }
+        case 4: {  // a pair's fault index or first detection
+          if (pairs_end == 24) break;
+          const std::size_t at = 24 + 4 * rng.Below((pairs_end - 24) / 4);
+          std::string bytes;
+          const std::uint32_t edits[] = {
+              0, UINT32_MAX, static_cast<std::uint32_t>(rng.Next()),
+              static_cast<std::uint32_t>(results[ri].first_detect.size()),
+              static_cast<std::uint32_t>(
+                  results[ri].detects_per_pattern.size())};
+          PutU32(bytes, edits[rng.Below(std::size(edits))]);
+          mutant.replace(at, 4, bytes);
+          break;
+        }
+        default:  // the mode byte
+          mutant[pairs_end] = static_cast<char>(rng.Below(4));
+          break;
+      }
+      FaultSimResult back;
+      if (!ResultStore::DecodeResult(mutant, &back)) {
+        ++rejected;
+        continue;
+      }
+      ++decoded;
+      const std::string bad = Inconsistency(back);
+      ASSERT_EQ(bad, "") << "result " << ri << " mutant " << m;
+    }
+  }
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(decoded, 0);
 }
 
 TEST(ResultStoreTest, StoreLoadRoundTripsAndCounts) {
@@ -272,6 +512,71 @@ TEST(ResultStoreTest, CorruptEntriesAreDetectedAndDiscarded) {
   const auto loaded = store.Load(key);
   ASSERT_TRUE(loaded.has_value());
   ExpectSameResult(result, *loaded);
+}
+
+TEST(ResultStoreTest, VersionOneEntryIsAMissNeverAWrongHit) {
+  const Netlist nl = SmallNetlist();
+  const PatternSet ps = SmallPatterns();
+  const auto faults = fault::CollapsedFaultList(nl);
+  const FaultSimResult live = Simulate(nl, ps, faults);
+  const StoreKey key =
+      FaultSimKey(nl, ps, faults, nullptr, true, SimModel::kStuckAt);
+
+  // A genuine format-1 entry for this key: dense first_detect, the
+  // detection histogram followed by the activation histogram format 2
+  // dropped (its values cannot matter to a miss), the count and the mask,
+  // checksummed under the version-1 tag.
+  std::string payload;
+  PutU64(payload, live.first_detect.size());
+  for (const std::uint32_t v : live.first_detect) PutU32(payload, v);
+  PutU64(payload, live.detects_per_pattern.size());
+  for (const std::uint32_t v : live.detects_per_pattern) PutU32(payload, v);
+  for (std::size_t p = 0; p < live.detects_per_pattern.size(); ++p) {
+    PutU32(payload, 1);
+  }
+  PutU64(payload, live.num_detected);
+  PutU64(payload, live.detected_mask.size());
+  for (const std::uint64_t w : live.detected_mask.Words()) PutU64(payload, w);
+  Hasher128 h;
+  h.AddString("gpustl-entry-v1");
+  h.AddBytes(payload.data(), payload.size());
+  const Hash128 sum = h.Finish();
+  std::string v1 = "GSRE";
+  PutU32(v1, 1);
+  PutU64(v1, key.lo);
+  PutU64(v1, key.hi);
+  PutU64(v1, payload.size());
+  PutU64(v1, sum.lo);
+  PutU64(v1, sum.hi);
+  v1 += payload;
+
+  ResultStore store(ScratchDir("v1_entry"));
+  const std::string path = store.EntryPath(key);
+  const auto write_v1 = [&] {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(v1.data(), static_cast<std::streamsize>(v1.size()));
+  };
+  write_v1();
+  EXPECT_FALSE(store.Load(key).has_value());
+  EXPECT_EQ(store.stats().bad_entries, 1u);
+  EXPECT_EQ(store.stats().hits, 0u);
+
+  write_v1();
+  const FaultSimResult recomputed = SimulateWithStore(
+      &store, nl, ps, faults, nullptr, fault::FaultSimOptions{},
+      SimModel::kStuckAt);
+  ExpectSameResult(live, recomputed);
+  EXPECT_EQ(store.stats().bad_entries, 2u);
+  EXPECT_EQ(store.stats().stores, 1u);
+
+  std::ifstream in(path, std::ios::binary);
+  const std::string rewritten((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+  ASSERT_GE(rewritten.size(), 8u);
+  EXPECT_EQ(rewritten[4], 2) << "the entry is rewritten as format 2";
+  const auto reloaded = store.Load(key);
+  ASSERT_TRUE(reloaded.has_value());
+  ExpectSameResult(live, *reloaded);
 }
 
 TEST(ResultStoreTest, SizeBudgetEvictsOldestEntries) {
